@@ -244,6 +244,20 @@ func TestClusterGraphReplication(t *testing.T) {
 		t.Fatalf("profile: %d %s", code, body)
 	}
 
+	// Replication is asynchronous: a simulate racing node 0's offer to
+	// the key's owners finds no replica yet and re-profiles. Let the
+	// offers land first, as they would in any settled cluster.
+	owners := uint64(len(nodes[0].coord.RemoteOwners(prof.Key)))
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := nodes[0].coord.Stats()
+		if st.OffersSent+st.OfferFailures >= owners {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("offers to %d owners never completed: %+v", owners, st)
+		}
+	}
+
 	// Ask every other node to simulate: each must resolve the profile
 	// without profiling it again (hedged remote fetch or replicated
 	// offer, either is a win).

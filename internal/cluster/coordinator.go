@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sfg"
@@ -483,11 +484,11 @@ func (c *Coordinator) SweepPending(ctx context.Context, job service.ClusterSweep
 }
 
 // sweepOnPeer dispatches one executor's indices to a peer in ChunkSize
-// sub-sweeps, reporting each completed point. It returns the indices
-// that did not complete; the peer's health is marked per RPC outcome,
-// and after a failure the rest of the partition is forfeited
-// immediately (the caller re-partitions it) instead of being thrown at
-// a peer that just proved unreliable.
+// sub-sweeps, reporting each completed chunk as one batch. It returns
+// the indices that did not complete; the peer's health is marked per
+// RPC outcome, and after a failure the rest of the partition is
+// forfeited immediately (the caller re-partitions it) instead of being
+// thrown at a peer that just proved unreliable.
 //
 // Each chunk gets a cluster.dispatch span whose ID rides the
 // sub-request's X-Statsimd-Parent-Span header; the peer parents its
@@ -536,9 +537,11 @@ func (c *Coordinator) sweepOnPeer(ctx context.Context, name string, job service.
 		chunkWall := time.Since(chunkStart).Seconds()
 		c.noteSuccess(p, false)
 		tracer.Import(resp.TraceSpans)
-		for k, idx := range chunk {
-			job.Report(idx, *resp.Results[k].Raw)
+		ms := make([]core.Metrics, len(chunk))
+		for k := range chunk {
+			ms[k] = *resp.Results[k].Raw
 		}
+		job.Report(chunk, ms)
 		if job.ReportCost != nil {
 			if len(resp.Cost) == len(chunk) {
 				for k, idx := range chunk {

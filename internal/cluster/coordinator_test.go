@@ -330,9 +330,11 @@ func TestSweepPendingFailoverToLocal(t *testing.T) {
 	job := service.ClusterSweepJob{
 		Points:  make([]service.SweepPoint, 6),
 		Pending: []int{0, 1, 2, 3, 4, 5},
-		Report: func(i int, m core.Metrics) {
+		Report: func(indices []int, ms []core.Metrics) {
 			mu.Lock()
-			reported[i] = true
+			for _, i := range indices {
+				reported[i] = true
+			}
 			mu.Unlock()
 		},
 		Local: func(ctx context.Context, indices []int) error {
@@ -375,7 +377,7 @@ func TestSweepPendingCancellation(t *testing.T) {
 	job := service.ClusterSweepJob{
 		Points:  make([]service.SweepPoint, 2),
 		Pending: []int{0, 1},
-		Report:  func(int, core.Metrics) {},
+		Report:  func([]int, []core.Metrics) {},
 		Local:   func(ctx context.Context, indices []int) error { return ctx.Err() },
 	}
 	if err := c.SweepPending(ctx, job); !errors.Is(err, context.Canceled) {

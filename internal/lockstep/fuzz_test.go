@@ -60,7 +60,7 @@ func fuzzConfig(ruu, lsq uint16, width, ifq, pred, l1d uint8) cpu.Config {
 // geometry) plus every split position of a three-point cohort.
 func FuzzLockstepCohort(f *testing.F) {
 	// Seeds derived from the golden differential grid (diffGrid).
-	f.Add(uint16(127), uint16(31), uint16(15), uint16(7), byte(7), byte(31), byte(0), byte(3), byte(1))  // baseline-ish vs cramped windows
+	f.Add(uint16(127), uint16(31), uint16(15), uint16(7), byte(7), byte(31), byte(0), byte(3), byte(1)) // baseline-ish vs cramped windows
 	f.Add(uint16(15), uint16(7), uint16(255), uint16(127), byte(0), byte(7), byte(1), byte(0), byte(2)) // cramped vs capacious, scalar width
 	f.Add(uint16(255), uint16(255), uint16(255), uint16(255), byte(15), byte(63), byte(2), byte(4), byte(0))
 	f.Add(uint16(63), uint16(63), uint16(63), uint16(63), byte(3), byte(3), byte(3), byte(5), byte(1)) // predictor-kind sweep

@@ -27,10 +27,10 @@ import (
 
 // TraceSpan is one completed span on the wire and in the trace store.
 type TraceSpan struct {
-	TraceID  string            `json:"trace_id"`
-	SpanID   string            `json:"span_id"`
-	ParentID string            `json:"parent_id,omitempty"`
-	Name     string            `json:"name"`
+	TraceID  string `json:"trace_id"`
+	SpanID   string `json:"span_id"`
+	ParentID string `json:"parent_id,omitempty"`
+	Name     string `json:"name"`
 	// Node names the daemon that executed the span — the coordinator's
 	// advertised URL or "local" on an unclustered node.
 	Node        string            `json:"node,omitempty"`

@@ -357,35 +357,66 @@ func (st *Store) Get(key Key) (core.Metrics, bool) {
 }
 
 // Put appends one finished result, fsyncing before it becomes visible
-// to Get. A key already present is a no-op (results are deterministic:
-// the incumbent is identical). Append failures leave the index
-// untouched — the point is simply recomputed in a future life — and are
-// counted for /metrics.
+// to Get: PutBatch of one.
 func (st *Store) Put(key Key, m core.Metrics) error {
-	raw, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	frame, err := EncodeRecord(key, raw)
-	if err != nil {
-		return err
+	return st.PutBatch([]Key{key}, []core.Metrics{m})
+}
+
+// PutBatch appends a batch of finished results (ms[k] belongs to
+// keys[k]) as one group commit: every new frame goes out in a single
+// write and a single fsync, and only then do the keys become visible to
+// Get, so nothing served has not already survived a crash. Keys already
+// present — in the index or earlier in the batch — are skipped (results
+// are deterministic: the incumbent is identical). A failed commit leaves
+// the index untouched for the whole batch — its points are simply
+// recomputed in a future life — and counts one append failure per
+// record for /metrics.
+func (st *Store) PutBatch(keys []Key, ms []core.Metrics) error {
+	if len(keys) != len(ms) {
+		return fmt.Errorf("resultstore: %d keys for %d results", len(keys), len(ms))
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.index[key]; ok {
+	var buf []byte
+	fresh := make(map[Key]int, len(keys)) // key -> batch position of its first occurrence
+	for k, key := range keys {
+		if _, ok := st.index[key]; ok {
+			continue
+		}
+		if _, dup := fresh[key]; dup {
+			continue
+		}
+		raw, err := json.Marshal(ms[k])
+		if err != nil {
+			return err
+		}
+		frame, err := EncodeRecord(key, raw)
+		if err != nil {
+			return err
+		}
+		if buf == nil {
+			// Frames are near-equal in length: size the commit once.
+			buf = make([]byte, 0, (len(frame)+len(frame)/8)*(len(keys)-k))
+		}
+		fresh[key] = k
+		buf = append(buf, frame...)
+	}
+	if len(fresh) == 0 {
 		return nil
 	}
-	if _, err := st.f.Write(frame); err != nil {
-		st.appendFails++
+	if _, err := st.f.Write(buf); err != nil {
+		st.appendFails += len(fresh)
 		return err
 	}
 	if err := st.f.Sync(); err != nil {
-		st.appendFails++
+		st.appendFails += len(fresh)
 		return err
 	}
-	st.index[key] = m
-	st.records++
-	st.appends++
+	for key, k := range fresh {
+		st.index[key] = ms[k]
+	}
+	st.records += len(fresh)
+	st.appends += len(fresh)
 	return nil
 }
 

@@ -46,7 +46,7 @@ type Cluster interface {
 	// future re-profile somewhere, never this request.
 	OfferGraph(ctx context.Context, key ProfileKey, g *sfg.Graph)
 	// SweepPending computes job.Pending across the healthy peers plus
-	// this node, calling job.Report once per completed point. It returns
+	// this node, calling job.Report once per completed batch. It returns
 	// only on fatal errors (cancellation, local compute failure); losing
 	// a peer triggers re-partitioning, not failure.
 	SweepPending(ctx context.Context, job ClusterSweepJob) error
@@ -70,16 +70,18 @@ type ClusterSweepJob struct {
 	Target  uint64
 	SimSeed uint64
 
-	// Report is called once per completed pending point, concurrently
-	// from dispatch goroutines; index values are disjoint across calls.
-	Report func(index int, m core.Metrics)
+	// Report is called once per completed batch of pending points — a
+	// remote chunk or a local lockstep group, one durable commit each —
+	// with ms[k] belonging to indices[k]. Calls arrive concurrently from
+	// dispatch goroutines; index values are disjoint across calls.
+	Report func(indices []int, ms []core.Metrics)
 	// ReportCost, when non-nil, records one completed point's cost
 	// ledger entry (tier, executing node, cohort, wall time). Same
 	// concurrency contract as Report.
 	ReportCost func(index int, c PointCost)
 	// Local computes the given indices on this node's own pool, calling
-	// Report per point — the coordinator's executor of last resort, so a
-	// sweep completes even with every remote peer dead.
+	// Report per lockstep group — the coordinator's executor of last
+	// resort, so a sweep completes even with every remote peer dead.
 	Local func(ctx context.Context, indices []int) error
 	// Failover, when non-nil, is told each time a peer was lost and its
 	// unfinished points re-partitioned.
@@ -205,7 +207,7 @@ func simulatePoint(base cpu.Config, g *sfg.Graph, points []SweepPoint, i int, r,
 // batching, fault site and ctx discipline as SweepWithJournal, so a
 // sweep that degrades all the way back to local-only is
 // indistinguishable from an unclustered one.
-func (s *Server) sweepClustered(ctx context.Context, spec ProfileSpec, cfgSpec ConfigSpec, base cpu.Config, g *sfg.Graph, points []SweepPoint, pending []int, red, simSeed uint64, report func(int, core.Metrics), ledger *costLedger) error {
+func (s *Server) sweepClustered(ctx context.Context, spec ProfileSpec, cfgSpec ConfigSpec, base cpu.Config, g *sfg.Graph, points []SweepPoint, pending []int, red, simSeed uint64, report func([]int, []core.Metrics), ledger *costLedger) error {
 	job := ClusterSweepJob{
 		Profile: spec,
 		Config:  cfgSpec,

@@ -257,7 +257,7 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 		return nil, err
 	}
 	feed := s.progress.feed(obs.TraceIDFromContext(ctx))
-	feed.publish(ProgressEvent{Type: "start", Total: len(points)})
+	feed.begin(len(points), 0)
 	resp := SweepResponse{
 		Key:       key,
 		Points:    len(points),
@@ -274,7 +274,7 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 		if err != nil {
 			span.Annotate("error", err.Error())
 			span.End()
-			feed.publish(ProgressEvent{Type: "error", Total: len(points), Completed: i, Error: err.Error()})
+			feed.finish(err)
 			return nil, err
 		}
 		annotateFidelitySpan(span, res)
@@ -290,10 +290,9 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 		if m.EDP < resp.Results[resp.Best].Metrics.EDP {
 			resp.Best = i
 		}
-		p := pt
-		feed.publish(ProgressEvent{Type: "point", Completed: i + 1, Index: i, Point: &p, Metrics: &m})
+		feed.publishPoint(i, pt, m)
 	}
-	feed.publish(ProgressEvent{Type: "done", Total: len(points), Completed: len(points)})
+	feed.finish(nil)
 	entries := ledger.snapshot()
 	s.costs.add(entries)
 	if req.Cost {

@@ -22,6 +22,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fidelity"
 	"repro/internal/obs"
+	"repro/internal/resultstore"
 	"repro/internal/sfg"
 )
 
@@ -155,8 +156,8 @@ type Server struct {
 	sweepFromStore     atomic.Uint64
 	sweepFromSurrogate atomic.Uint64
 	sweepSimulated     atomic.Uint64
-	sweepLocks   sync.Map // sweep fingerprint -> *sync.Mutex
-	fidelity     fidelityCounters
+	sweepLocks         sync.Map // sweep fingerprint -> *sync.Mutex
+	fidelity           fidelityCounters
 
 	// Shed-storm detection: a burst of 429s inside stormWindow triggers
 	// one flight-recorder dump per stormCooldown, so the black box lands
@@ -879,7 +880,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) (any, er
 		if err != nil {
 			return nil, err
 		}
-		s.oracle.learn(okey, m)
+		s.oracle.learn([]resultstore.Key{okey}, []core.Metrics{m})
 	}
 	s.writeManifest(r.Context(), "/v1/simulate", func(mf *obs.Manifest) {
 		mf.ConfigFingerprint = obs.Fingerprint(cfg)
@@ -996,6 +997,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 	}
 	if len(points) > s.opts.MaxSweepPoints {
 		return nil, badRequest("%d points exceed limit %d", len(points), s.opts.MaxSweepPoints)
+	}
+	for _, p := range points {
+		if err := checkPointRange(p); err != nil {
+			return nil, badRequest("%v", err)
+		}
 	}
 	if req.Fidelity != nil {
 		return s.runFidelitySweep(r, req, points)
@@ -1134,8 +1140,9 @@ type sweepParams struct {
 //
 // Progress is published into the hub feed keyed by the request's trace
 // ID: a "start" event once the resume count is known, one "point" event
-// per freshly simulated point in completion order, and a terminal
-// "done" or "error" — the stream GET /v1/sweep/progress serves.
+// per freshly served point, published batch by batch after each batch's
+// durable commit, and a terminal "done" or "error" — the stream GET
+// /v1/sweep/progress serves.
 func (s *Server) runSweep(ctx context.Context, p sweepParams) ([]SweepResult, int, error) {
 	// Fanout sub-sweeps share the root request's trace ID; publishing
 	// into the hub would collide with the coordinator's own feed for the
@@ -1145,44 +1152,21 @@ func (s *Server) runSweep(ctx context.Context, p sweepParams) ([]SweepResult, in
 	if !p.fanout {
 		feed = s.progress.feed(obs.TraceIDFromContext(ctx))
 	}
-	var completed atomic.Int64
-	var fromStore, fromSurrogate atomic.Int64
-	progress := func(index int, res SweepResult) {
-		m := wireMetrics(res.Metrics)
-		if res.Estimate != nil {
-			m = estimateWire(*res.Estimate)
-			fromSurrogate.Add(1)
-		} else if res.Served == ServedFromStore {
-			fromStore.Add(1)
-		}
-		pt := res.Point
-		feed.publish(ProgressEvent{Type: "point", Completed: int(completed.Add(1)),
-			Index: index, Point: &pt, Metrics: &m,
-			Served: res.Served, Estimated: res.Estimate != nil})
-	}
-	results, resumed, err := s.sweepJournaled(ctx, p, feed, &completed, progress)
+	results, resumed, err := s.sweepJournaled(ctx, p, feed)
+	feed.finish(err)
 	if err != nil {
-		feed.publish(ProgressEvent{Type: "error", Total: len(p.points), Resumed: resumed,
-			Completed: int(completed.Load()), Error: err.Error()})
 		return nil, resumed, err
 	}
-	feed.publish(ProgressEvent{Type: "done", Total: len(p.points), Resumed: resumed,
-		Completed: int(completed.Load()),
-		FromStore: int(fromStore.Load()), FromSurrogate: int(fromSurrogate.Load())})
 	return results, resumed, nil
 }
 
 // sweepJournaled picks the checkpointed or plain sweep path and emits
-// the feed's "start" event once the resume count is known (seeding the
-// completed counter, so "point" events count from resumed upward).
-func (s *Server) sweepJournaled(ctx context.Context, p sweepParams, feed *progressFeed, completed *atomic.Int64, progress func(int, SweepResult)) ([]SweepResult, int, error) {
-	start := func(resumed int) {
-		completed.Store(int64(resumed))
-		feed.publish(ProgressEvent{Type: "start", Total: len(p.points), Resumed: resumed, Completed: resumed})
-	}
+// the feed's "start" event once the resume count is known (so "point"
+// events count from resumed upward).
+func (s *Server) sweepJournaled(ctx context.Context, p sweepParams, feed *progressFeed) ([]SweepResult, int, error) {
 	if s.store == nil {
-		start(0)
-		return s.sweepExecute(ctx, p, nil, progress)
+		feed.begin(len(p.points), 0)
+		return s.sweepExecute(ctx, p, nil, feed)
 	}
 	id := SweepFingerprint(p.g, p.base, p.points, p.red, p.simSeed)
 	mu, _ := s.sweepLocks.LoadOrStore(id, &sync.Mutex{})
@@ -1190,14 +1174,14 @@ func (s *Server) sweepJournaled(ctx context.Context, p sweepParams, feed *progre
 	defer mu.(*sync.Mutex).Unlock()
 	j, err := OpenSweepJournal(s.store.JournalPath(id), id, len(p.points), s.faults)
 	if err != nil {
-		start(0)
-		return s.sweepExecute(ctx, p, nil, progress)
+		feed.begin(len(p.points), 0)
+		return s.sweepExecute(ctx, p, nil, feed)
 	}
 	defer j.Close()
 	s.log.Debug("sweep checkpoint journal opened", "trace_id", obs.TraceIDFromContext(ctx),
 		"fingerprint", id, "points", len(p.points), "resumed", j.Resumed(), "dropped", j.Dropped())
-	start(j.Resumed())
-	results, resumed, err := s.sweepExecute(ctx, p, j, progress)
+	feed.begin(len(p.points), j.Resumed())
+	results, resumed, err := s.sweepExecute(ctx, p, j, feed)
 	s.sweepResumed.Add(uint64(resumed))
 	if resumed > 0 {
 		if ri := requestInfo(ctx); ri != nil {
@@ -1210,14 +1194,16 @@ func (s *Server) sweepJournaled(ctx context.Context, p sweepParams, feed *progre
 // sweepExecute resolves every point of a sweep through the tiered
 // serving order — journal resume, then the oracle (exact store hits,
 // gated surrogate predictions), then the executors (local lockstep
-// batching or cluster fan-out) — journaling and publishing progress
-// identically per point, and filling results in grid order, so the
+// batching or cluster fan-out) — filling results in grid order, so the
 // response bytes cannot depend on which tier (or which peer) answered a
-// point. Sub-sweeps dispatched by another coordinator (fanout) always
-// run locally and never answer with estimates. What the executors
-// compute feeds the oracle, so fallback traffic continuously widens the
-// store and sharpens the surrogate.
-func (s *Server) sweepExecute(ctx context.Context, p sweepParams, j *SweepJournal, progress func(int, SweepResult)) ([]SweepResult, int, error) {
+// point. Every tier hands over its points in batches — one oracle pass,
+// one lockstep group, one remote chunk — and each batch is one durable
+// commit (result store, then journal) whose progress events are
+// published only after that commit. Sub-sweeps dispatched by another
+// coordinator (fanout) always run locally and never answer with
+// estimates. What the executors compute feeds the oracle, so fallback
+// traffic continuously widens the store and sharpens the surrogate.
+func (s *Server) sweepExecute(ctx context.Context, p sweepParams, j *SweepJournal, feed *progressFeed) ([]SweepResult, int, error) {
 	// Concurrent simulations — local workers and the cluster offer/fetch
 	// paths — sample the shared graph; freezing makes those reads
 	// immutable (no-op if the cache already froze it).
@@ -1243,26 +1229,33 @@ func (s *Server) sweepExecute(ctx context.Context, p sweepParams, j *SweepJourna
 		}
 	}
 
-	pending = s.oracleFilter(ctx, p, pending, results, j, progress)
+	pending = s.oracleFilter(ctx, p, pending, results, j, feed)
 	if len(pending) == 0 {
 		return results, resumed, nil
 	}
 
 	// Indices are disjoint across concurrent report calls, so the
-	// results writes need no lock; Append, learn and progress are
+	// results writes need no lock; learn, AppendBatch and the feed are
 	// concurrency-safe.
-	report := func(i int, m core.Metrics) {
-		results[i] = SweepResult{Point: p.points[i], Metrics: m}
-		s.sweepSimulated.Add(1)
-		s.oracle.learn(oracleKey(p.pkey, p.points[i].Apply(p.base), p.red, p.simSeed), m)
+	report := func(indices []int, ms []core.Metrics) {
+		var keys []resultstore.Key
+		if s.oracle.enabled() {
+			keys = make([]resultstore.Key, len(indices))
+		}
+		for k, i := range indices {
+			results[i] = SweepResult{Point: p.points[i], Metrics: ms[k]}
+			if keys != nil {
+				keys[k] = oracleKey(p.pkey, p.points[i].Apply(p.base), p.red, p.simSeed)
+			}
+		}
+		s.sweepSimulated.Add(uint64(len(indices)))
+		s.oracle.learn(keys, ms)
 		if j != nil {
-			// Best-effort: a failed append only means this point is
+			// Best-effort: a failed commit only means these points are
 			// recomputed if the sweep is interrupted later.
-			_ = j.Append(i, m)
+			_ = j.AppendBatch(indices, ms)
 		}
-		if progress != nil {
-			progress(i, results[i])
-		}
+		feed.publishPoints(indices, results)
 	}
 	if s.cluster == nil || p.fanout {
 		noteCost := func(index, cohort int, wallS float64) {

@@ -56,8 +56,9 @@ func pointCRC(index int, metrics []byte) uint32 {
 }
 
 // SweepJournal checkpoints a design-space sweep: every completed point
-// is appended (and fsynced) as one self-checksummed JSON line, so a
-// crash, OOM-kill or cancellation loses at most the in-flight points.
+// is appended as one self-checksummed JSON line, a batch of points per
+// write and fsync, so a crash, OOM-kill or cancellation loses at most
+// the in-flight points and one uncommitted batch.
 // Opening an existing journal replays it — tolerating a torn final
 // write and quarantine-dropping any line that fails its checksum — and
 // the next run recomputes only what is missing. Because each point's
@@ -69,12 +70,11 @@ type SweepJournal struct {
 	npoints int
 	faults  *fault.Injector
 
-	mu             sync.Mutex
-	f              *os.File
-	done           map[int]core.Metrics
-	resumed        int // points recovered from a previous run
-	dropped        int // torn or corrupt lines discarded at open
-	appendFailures int
+	mu      sync.Mutex
+	f       *os.File
+	done    map[int]core.Metrics
+	resumed int // points recovered from a previous run
+	dropped int // torn or corrupt lines discarded at open
 }
 
 // ErrJournalMismatch reports a journal written by a sweep with a
@@ -83,9 +83,11 @@ var ErrJournalMismatch = fmt.Errorf("service: sweep journal belongs to a differe
 
 // OpenSweepJournal opens (creating if absent) the checkpoint journal at
 // path for a sweep with the given identity and point count. Existing
-// contents are validated and compacted: damaged lines are dropped (and
-// recomputed later), and the file is atomically rewritten so appends
-// never land after a torn tail. faults may be nil.
+// contents are validated: damaged lines are dropped (and recomputed
+// later). A clean journal — replay dropped nothing and the file ends in
+// a newline — is reopened for appending in place; anything else is
+// compacted by an atomic rewrite, so appends never land after a torn
+// tail. faults may be nil.
 func OpenSweepJournal(path, id string, npoints int, faults *fault.Injector) (*SweepJournal, error) {
 	j := &SweepJournal{path: path, id: id, npoints: npoints, faults: faults, done: make(map[int]core.Metrics)}
 	data, err := os.ReadFile(path)
@@ -99,6 +101,22 @@ func OpenSweepJournal(path, id string, npoints int, faults *fault.Injector) (*Sw
 			return nil, err
 		}
 		j.resumed = len(j.done)
+		if j.dropped == 0 && len(data) > 0 && data[len(data)-1] == '\n' {
+			// Clean: append in place. The fsync (nearly free when the last
+			// writer already synced) makes durable any replayed line a
+			// crashed writer wrote but never synced, before Done serves it.
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err == nil {
+				if err = f.Sync(); err != nil {
+					f.Close()
+				}
+			}
+			if err != nil {
+				return nil, fmt.Errorf("service: opening sweep journal: %w", err)
+			}
+			j.f = f
+			return j, nil
+		}
 	}
 	if err := j.rewrite(); err != nil {
 		return nil, err
@@ -212,34 +230,61 @@ func encodePoint(index int, m core.Metrics) ([]byte, error) {
 	return json.Marshal(journalLine{Type: "point", Index: index, Metrics: raw, CRC: pointCRC(index, raw)})
 }
 
-// Append checkpoints one completed point. Failures are tolerated by the
-// sweep (the point is recomputed on resume) but reported so callers can
-// count them.
+// Append checkpoints one completed point: AppendBatch of one.
 func (j *SweepJournal) Append(index int, m core.Metrics) error {
-	line, err := encodePoint(index, m)
-	if err != nil {
-		return err
-	}
-	if ferr := j.faults.Fire(SiteJournalAppend); ferr != nil {
-		j.mu.Lock()
-		j.appendFailures++
-		j.mu.Unlock()
-		return fmt.Errorf("service: journal append: %w", ferr)
+	return j.AppendBatch([]int{index}, []core.Metrics{m})
+}
+
+// AppendBatch checkpoints a batch of completed points (ms[k] belongs to
+// indices[k]) as one group commit: the new lines go out in a single
+// write and a single fsync, and only then do the points appear in Done.
+// Points already checkpointed (a resume raced a recompute) are skipped,
+// and a batch with nothing new commits nothing. The SiteJournalAppend
+// fault site fires once per commit. A failed commit drops the whole
+// batch — its points are recomputed on resume — and returns its error;
+// the sweep itself tolerates it.
+func (j *SweepJournal) AppendBatch(indices []int, ms []core.Metrics) error {
+	if len(indices) != len(ms) {
+		return fmt.Errorf("service: journal append: %d indices for %d results", len(indices), len(ms))
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.done[index]; ok {
-		return nil // already checkpointed (resume raced a recompute)
+	var buf []byte
+	fresh := make(map[int]int, len(indices)) // point index -> batch position
+	for k, i := range indices {
+		if _, ok := j.done[i]; ok {
+			continue
+		}
+		if _, dup := fresh[i]; dup {
+			continue
+		}
+		line, err := encodePoint(i, ms[k])
+		if err != nil {
+			return err
+		}
+		if buf == nil {
+			// Lines are near-equal in length: size the commit once.
+			buf = make([]byte, 0, (len(line)+len(line)/8)*(len(indices)-k))
+		}
+		fresh[i] = k
+		buf = append(buf, line...)
+		buf = append(buf, '\n')
 	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		j.appendFailures++
+	if len(fresh) == 0 {
+		return nil
+	}
+	if err := j.faults.Fire(SiteJournalAppend); err != nil {
+		return fmt.Errorf("service: journal append: %w", err)
+	}
+	if _, err := j.f.Write(buf); err != nil {
 		return err
 	}
 	if err := j.f.Sync(); err != nil {
-		j.appendFailures++
 		return err
 	}
-	j.done[index] = m
+	for i, k := range fresh {
+		j.done[i] = ms[k]
+	}
 	return nil
 }
 
@@ -275,15 +320,16 @@ func (j *SweepJournal) Close() error {
 
 // SweepWithJournal is Sweep with crash-safe checkpointing: points
 // already present in the journal are returned without simulation, newly
-// computed points are appended as they complete, and the merged results
-// come back in grid order — byte-identical to an uninterrupted run,
-// because every point is a deterministic function of the sweep
-// identity. The second return value is the number of resumed points.
-// j, faults and progress may all be nil (plain sweep); a non-nil
-// progress is called once per freshly simulated point, in completion
-// order from the worker that finished it, feeding live observability
-// (the daemon's SSE stream, the CLI's -progress ticker) without
-// touching the deterministic grid-order results.
+// computed points are appended one lockstep group at a time as the
+// groups complete, and the merged results come back in grid order —
+// byte-identical to an uninterrupted run, because every point is a
+// deterministic function of the sweep identity. The second return value
+// is the number of resumed points. j, faults and progress may all be nil
+// (plain sweep); a non-nil progress is called once per freshly simulated
+// point, after its group's journal commit, in completion order from the
+// worker that finished it, feeding live observability (the CLI's
+// -progress ticker) without touching the deterministic grid-order
+// results.
 //
 // Pending points execute through the lockstep batch engine (see
 // lockstep.go in this package): compatible points share one trace
@@ -317,15 +363,19 @@ func SweepWithJournal(ctx context.Context, pool *Pool, base cpu.Config, g *sfg.G
 		}
 	}
 
-	err := runPendingBatched(ctx, pool, faults, base, g, points, pending, r, seed, func(i int, m core.Metrics) {
-		results[i] = SweepResult{Point: points[i], Metrics: m}
+	err := runPendingBatched(ctx, pool, faults, base, g, points, pending, r, seed, func(indices []int, ms []core.Metrics) {
+		for k, i := range indices {
+			results[i] = SweepResult{Point: points[i], Metrics: ms[k]}
+		}
 		if j != nil {
-			// Best-effort: a failed append only means this point is
+			// Best-effort: a failed commit only means these points are
 			// recomputed if the sweep is interrupted later.
-			_ = j.Append(i, m)
+			_ = j.AppendBatch(indices, ms)
 		}
 		if progress != nil {
-			progress(i, results[i])
+			for _, i := range indices {
+				progress(i, results[i])
+			}
 		}
 	}, nil)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/lockstep"
 )
 
 func quickSweepInputs(t *testing.T) (cpu.Config, []SweepPoint, uint64, uint64) {
@@ -327,27 +328,39 @@ func TestSweepJournalRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestSweepJournalAppendFailureTolerated: a failing journal write must
-// not fail the sweep — the un-checkpointed points are simply recomputed
-// on the next resume.
+// TestSweepJournalAppendFailureTolerated: a failing journal commit must
+// not fail the sweep. Commits are per lockstep group, so a failed one
+// drops exactly one group's points — no more, no fewer — and those are
+// simply recomputed on the next resume, byte-identically.
 func TestSweepJournalAppendFailureTolerated(t *testing.T) {
 	g := testGraph(t)
 	base, points, r, seed := quickSweepInputs(t)
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	id := SweepFingerprint(g, base, points, r, seed)
 
+	// Two workers plan the 9 points into two groups (5 + 4): two commits.
+	pool := NewPool(2)
+	defer pool.Drain(context.Background())
+	groups := planGroups(points, r, seed, 2)
+	if len(groups) != 2 {
+		t.Fatalf("plan has %d groups, want 2", len(groups))
+	}
+
 	in := fault.New(5)
-	in.Set(SiteJournalAppend, fault.Rule{Prob: 1, Times: 3, Err: fault.ErrInjected})
+	in.Set(SiteJournalAppend, fault.Rule{Prob: 1, Times: 1, Err: fault.ErrInjected})
 	j, err := OpenSweepJournal(path, id, len(points), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j, nil, nil)
+	results, _, err := SweepWithJournal(context.Background(), pool, base, g, points, r, seed, j, nil, nil)
 	if err != nil {
-		t.Fatalf("append failures failed the sweep: %v", err)
+		t.Fatalf("a failed commit failed the sweep: %v", err)
 	}
 	if len(results) != len(points) {
 		t.Fatalf("%d results, want %d", len(results), len(points))
+	}
+	if hits, fired := in.Hits(SiteJournalAppend), in.Fired(SiteJournalAppend); hits != 2 || fired != 1 {
+		t.Fatalf("journal commits: %d attempted, %d failed; want 2 and 1", hits, fired)
 	}
 	j.Close()
 
@@ -356,9 +369,36 @@ func TestSweepJournalAppendFailureTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.Resumed() != len(points)-3 {
-		t.Errorf("resumed %d, want %d (3 appends were dropped)", j2.Resumed(), len(points)-3)
+	done := j2.Done()
+	var dropped []int
+	for i := range points {
+		if _, ok := done[i]; !ok {
+			dropped = append(dropped, i)
+		}
 	}
+	if fmt.Sprint(dropped) != fmt.Sprint(groups[0].Indices) && fmt.Sprint(dropped) != fmt.Sprint(groups[1].Indices) {
+		t.Fatalf("dropped points %v, want exactly one whole group of %v", dropped, groups)
+	}
+
+	again, resumed, err := SweepWithJournal(context.Background(), pool, base, g, points, r, seed, j2, nil, nil)
+	if err != nil || resumed != len(points)-len(dropped) {
+		t.Fatalf("resume: resumed=%d err=%v, want %d", resumed, err, len(points)-len(dropped))
+	}
+	want, _ := json.Marshal(results)
+	got, _ := json.Marshal(again)
+	if !bytes.Equal(got, want) {
+		t.Error("resumed sweep differs from the run whose commit failed")
+	}
+}
+
+// planGroups is the lockstep plan runPendingBatched makes for a whole
+// grid on a pool of the given width.
+func planGroups(points []SweepPoint, r, seed uint64, workers int) []lockstep.Group {
+	pts := make([]lockstep.Point, len(points))
+	for i := range points {
+		pts[i] = lockstep.Point{Key: lockstep.Key{K: 1, R: r, Seed: seed}, Index: i}
+	}
+	return lockstep.Plan(pts, lockstep.Options{Parallel: workers})
 }
 
 func TestSweepJournalDuplicateConflictDetected(t *testing.T) {

@@ -34,12 +34,14 @@ import (
 // granularity.
 
 // runPendingBatched simulates the given grid indices on the pool using
-// the lockstep plan, calling report once per completed point (from the
-// worker that finished its group; indices are disjoint across calls).
-// Points whose fault-site evaluation fails are skipped and reported as
-// an error after the surviving points of the group have completed, so a
-// partial crash journals everything that did finish — exactly like the
-// per-point engine it replaces.
+// the lockstep plan, calling report once per group with the group's
+// completed points (ms[k] belongs to indices[k]; called from the worker
+// that finished the group; indices are disjoint across calls), so each
+// group is one durable commit downstream. Points whose fault-site
+// evaluation fails are skipped and reported as an error after the
+// surviving points of the group have completed, so a partial crash
+// journals everything that did finish — exactly like the per-point
+// engine it replaces.
 //
 // noteCost, when non-nil, receives one cost observation per completed
 // point: the plan's group index is the point's cohort ID, and the
@@ -48,7 +50,7 @@ import (
 // is the faithful attribution). Each cohort also records one "cohort"
 // span on the request's tracer, so the assembled trace shows where a
 // sweep's simulation time went group by group.
-func runPendingBatched(ctx context.Context, pool *Pool, faults *fault.Injector, base cpu.Config, g *sfg.Graph, points []SweepPoint, indices []int, r, seed uint64, report func(index int, m core.Metrics), noteCost func(index, cohort int, wallS float64)) error {
+func runPendingBatched(ctx context.Context, pool *Pool, faults *fault.Injector, base cpu.Config, g *sfg.Graph, points []SweepPoint, indices []int, r, seed uint64, report func(indices []int, ms []core.Metrics), noteCost func(index, cohort int, wallS float64)) error {
 	pts := make([]lockstep.Point, len(indices))
 	key := lockstep.Key{K: g.K, R: r, Seed: seed}
 	for k, i := range indices {
@@ -96,7 +98,7 @@ func runPendingBatched(ctx context.Context, pool *Pool, faults *fault.Injector, 
 			if err != nil {
 				return struct{}{}, fmt.Errorf("point %s: %w", points[i], err)
 			}
-			report(i, m)
+			report(batch, []core.Metrics{m})
 			finish(batch)
 		default:
 			cfgs := make([]cpu.Config, len(batch))
@@ -107,9 +109,7 @@ func runPendingBatched(ctx context.Context, pool *Pool, faults *fault.Injector, 
 			if err != nil {
 				return struct{}{}, fmt.Errorf("points %s..%s: %w", points[batch[0]], points[batch[len(batch)-1]], err)
 			}
-			for k, i := range batch {
-				report(i, ms[k])
-			}
+			report(batch, ms)
 			finish(batch)
 		}
 		return struct{}{}, firstErr

@@ -147,19 +147,22 @@ func (o *oracle) predict(key resultstore.Key) (surrogate.Estimate, bool) {
 	return est, true
 }
 
-// learn feeds one freshly simulated result into both tiers. Store
-// failures are tolerated (counted in store stats; the point is simply
-// recomputed in a future life) — a full disk must not fail a simulation
-// that already succeeded.
-func (o *oracle) learn(key resultstore.Key, m core.Metrics) {
+// learn feeds a batch of freshly simulated results (ms[k] belongs to
+// keys[k]) into both tiers, persisting the batch as one store commit.
+// Store failures are tolerated (counted in store stats; the points are
+// simply recomputed in a future life) — a full disk must not fail a
+// simulation that already succeeded.
+func (o *oracle) learn(keys []resultstore.Key, ms []core.Metrics) {
 	if !o.enabled() {
 		return
 	}
-	o.simulated.Add(1)
+	o.simulated.Add(uint64(len(keys)))
 	if o.store != nil {
-		_ = o.store.Put(key, m)
+		_ = o.store.PutBatch(keys, ms)
 	}
-	o.model.Add(key.Context(), featuresForKey(key), m.IPC(), m.EPC())
+	for k, key := range keys {
+		o.model.Add(key.Context(), featuresForKey(key), ms[k].IPC(), ms[k].EPC())
+	}
 }
 
 // estimateWire renders a surrogate estimate in the same wire shape as a
@@ -224,58 +227,58 @@ func (s *Server) handleOracleStatus(w http.ResponseWriter, r *http.Request) {
 // oracleFilter peels oracle-served points off a sweep's pending list
 // before any executor — local batching or cluster fan-out — sees them,
 // returning the indices still to simulate. Store hits are ground truth:
-// they land in the journal (a resumed sweep then serves them without
-// even a store lookup) and count as resumed-equivalent work. Surrogate
-// predictions are estimates: flagged on the result, published to the
-// progress feed with their provenance, and never journaled. Surrogate
-// serving is additionally suppressed on cluster sub-sweeps (fanout) —
-// the coordinator journals raw metrics from peers as ground truth, so a
-// peer must never answer with an estimate.
-func (s *Server) oracleFilter(ctx context.Context, p sweepParams, pending []int, results []SweepResult, j *SweepJournal, progress func(int, SweepResult)) []int {
+// the whole pass's hits land in the journal as one commit (a resumed
+// sweep then serves them without even a store lookup) and count as
+// resumed-equivalent work. Surrogate predictions are estimates: flagged
+// on the result and never journaled. The pass's progress events — both
+// kinds, in pending order — are published after the journal commit.
+// Surrogate serving is additionally suppressed on cluster sub-sweeps
+// (fanout) — the coordinator journals raw metrics from peers as ground
+// truth, so a peer must never answer with an estimate.
+func (s *Server) oracleFilter(ctx context.Context, p sweepParams, pending []int, results []SweepResult, j *SweepJournal, feed *progressFeed) []int {
 	if !s.oracle.enabled() || len(pending) == 0 {
 		return pending
 	}
 	_, span := obs.TracerFromContext(ctx).StartSpan(ctx, "oracle.filter")
 	ri := requestInfo(ctx)
-	var storeHits, surrogateHits int
+	var served, hits []int // served: every oracle-answered index; hits: the store's
 	remain := pending[:0]
 	for _, i := range pending {
 		t0 := time.Now()
 		key := oracleKey(p.pkey, p.points[i].Apply(p.base), p.red, p.simSeed)
 		if m, ok := s.oracle.lookup(key); ok {
 			results[i] = SweepResult{Point: p.points[i], Metrics: m, Served: ServedFromStore}
-			if j != nil {
-				_ = j.Append(i, m)
-			}
-			s.sweepFromStore.Add(1)
 			p.ledger.record(i, TierStore, "", -1, time.Since(t0).Seconds(), false)
-			storeHits++
-			if ri != nil {
-				ri.storeHits.Add(1)
-			}
-			if progress != nil {
-				progress(i, results[i])
-			}
+			served = append(served, i)
+			hits = append(hits, i)
 			continue
 		}
 		if !p.fanout {
 			if est, ok := s.oracle.predict(key); ok {
 				e := est
 				results[i] = SweepResult{Point: p.points[i], Served: ServedFromSurrogate, Estimate: &e}
-				s.sweepFromSurrogate.Add(1)
 				p.ledger.record(i, TierSurrogate, "", -1, time.Since(t0).Seconds(), true)
-				surrogateHits++
-				if ri != nil {
-					ri.surrogateHits.Add(1)
-				}
-				if progress != nil {
-					progress(i, results[i])
-				}
+				served = append(served, i)
 				continue
 			}
 		}
 		remain = append(remain, i)
 	}
+	storeHits, surrogateHits := len(hits), len(served)-len(hits)
+	s.sweepFromStore.Add(uint64(storeHits))
+	s.sweepFromSurrogate.Add(uint64(surrogateHits))
+	if ri != nil {
+		ri.storeHits.Add(int64(storeHits))
+		ri.surrogateHits.Add(int64(surrogateHits))
+	}
+	if j != nil && len(hits) > 0 {
+		ms := make([]core.Metrics, len(hits))
+		for k, i := range hits {
+			ms[k] = results[i].Metrics
+		}
+		_ = j.AppendBatch(hits, ms)
+	}
+	feed.publishPoints(served, results)
 	span.Annotate("store_hits", strconv.Itoa(storeHits))
 	span.Annotate("surrogate_hits", strconv.Itoa(surrogateHits))
 	span.Annotate("simulate", strconv.Itoa(len(remain)))

@@ -1,6 +1,10 @@
 package service
 
-import "sync"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // Live sweep progress: the sweep engine publishes one event per
 // completed design point into a per-request feed keyed by the request's
@@ -40,64 +44,231 @@ type ProgressEvent struct {
 	Error         string `json:"error,omitempty"`
 }
 
-// terminal reports whether the event ends its feed.
-func (ev ProgressEvent) terminal() bool { return ev.Type == "done" || ev.Type == "error" }
+// Provenance codes of a progressRecord.
+const (
+	recordSimulated uint8 = iota
+	recordStore
+	recordSurrogate
+)
 
-// progressFeed is one sweep's ordered event history plus a broadcast
-// channel that wakes subscribers on publish. Events are never dropped:
-// subscribers read the shared buffer by index, so a slow consumer lags
-// without losing data (the buffer is bounded by the sweep's point
+// progressRecord is one "point" event as the feed retains it: a fixed
+// value with no pointers, so a finished sweep's history costs one flat
+// array rather than an event plus two heap objects per point, and the
+// event is rendered only when a subscriber reads it. Index and completed
+// are bounded by the sweep's point count (MaxSweepPoints); the point's
+// fields by checkPointRange, which every sweep request passes first.
+type progressRecord struct {
+	metrics   SimMetrics
+	point     [5]int32 // RUU, LSQ, Decode, Issue, Commit
+	index     int32
+	completed int32
+	served    uint8 // recordSimulated, recordStore or recordSurrogate
+}
+
+// checkPointRange rejects a point whose fields a progressRecord cannot
+// hold. No such point is simulable anyway: its window alone would need
+// billions of entries.
+func checkPointRange(p SweepPoint) error {
+	for _, v := range [...]int{p.RUU, p.LSQ, p.Decode, p.Issue, p.Commit} {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return fmt.Errorf("point %s: field out of range", p)
+		}
+	}
+	return nil
+}
+
+// progressFeed is one sweep's ordered event history — "start", the
+// point records, then a terminal "done" or "error" — plus a wake
+// channel for a parked subscriber. Events are never dropped:
+// subscribers read the shared history by index, so a slow consumer lags
+// without losing data (the history is bounded by the sweep's point
 // count, itself capped by MaxSweepPoints).
 type progressFeed struct {
 	id string
 
-	mu     sync.Mutex
-	wake   chan struct{} // closed and replaced on every publish
-	events []ProgressEvent
-	done   bool
+	mu      sync.Mutex
+	wake    chan struct{} // non-nil only while a subscriber waits; closed on publish
+	started bool
+	start   ProgressEvent
+	records []progressRecord
+	// fromStore and fromSurrogate tally the records' provenance for the
+	// "done" summary.
+	fromStore, fromSurrogate int
+	done                     bool
+	end                      ProgressEvent
 }
 
 func newProgressFeed(id string) *progressFeed {
-	return &progressFeed{id: id, wake: make(chan struct{})}
+	return &progressFeed{id: id}
 }
 
-// publish appends one event and wakes every waiting subscriber. Events
-// after a terminal one are dropped — the feed's story has ended. A nil
-// feed discards everything: cluster fan-out sub-sweeps share the root
-// request's trace ID, so they run with a nil feed rather than colliding
-// with the coordinator's feed for the same ID.
-func (f *progressFeed) publish(ev ProgressEvent) {
+// wakeLocked releases a parked subscriber, if any.
+func (f *progressFeed) wakeLocked() {
+	if f.wake != nil {
+		close(f.wake)
+		f.wake = nil
+	}
+}
+
+// begin publishes the "start" event for a sweep of total points, resumed
+// of them already answered by its journal, and sizes the point history
+// for the points still to come. A nil feed discards everything: cluster
+// fan-out sub-sweeps share the root request's trace ID, so they run
+// with a nil feed rather than colliding with the coordinator's feed for
+// the same ID.
+func (f *progressFeed) begin(total, resumed int) {
 	if f == nil {
 		return
 	}
-	ev.TraceID = f.id
 	f.mu.Lock()
-	if f.done {
-		f.mu.Unlock()
+	defer f.mu.Unlock()
+	if f.started || f.done {
 		return
 	}
-	f.events = append(f.events, ev)
-	if ev.terminal() {
-		f.done = true
-	}
-	close(f.wake)
-	f.wake = make(chan struct{})
-	f.mu.Unlock()
+	f.started = true
+	f.start = ProgressEvent{Type: "start", TraceID: f.id, Total: total, Resumed: resumed, Completed: resumed}
+	f.records = make([]progressRecord, 0, max(total-resumed, 0))
+	f.wakeLocked()
 }
 
-// next returns the events from index from onward, whether the feed has
-// ended, and a channel that closes on the next publish (for use when no
-// new events were available).
+// publishPoints appends one "point" event per index, in order, reading
+// each point's outcome from the sweep's grid-order results. Callers
+// publish a batch only after its durable commit. Points published
+// before "start" or after the terminal event are dropped.
+func (f *progressFeed) publishPoints(indices []int, results []SweepResult) {
+	if f == nil || len(indices) == 0 {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, i := range indices {
+		res := &results[i]
+		switch {
+		case res.Estimate != nil:
+			f.appendLocked(i, res.Point, estimateWire(*res.Estimate), recordSurrogate)
+		case res.Served == ServedFromStore:
+			f.appendLocked(i, res.Point, wireMetrics(res.Metrics), recordStore)
+		default:
+			f.appendLocked(i, res.Point, wireMetrics(res.Metrics), recordSimulated)
+		}
+	}
+	f.wakeLocked()
+}
+
+// publishPoint appends one simulated point's event whose wire metrics
+// the caller already rendered.
+func (f *progressFeed) publishPoint(index int, pt SweepPoint, m SimMetrics) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.appendLocked(index, pt, m, recordSimulated)
+	f.wakeLocked()
+}
+
+func (f *progressFeed) appendLocked(index int, pt SweepPoint, m SimMetrics, served uint8) {
+	if !f.started || f.done {
+		return
+	}
+	switch served {
+	case recordStore:
+		f.fromStore++
+	case recordSurrogate:
+		f.fromSurrogate++
+	}
+	f.records = append(f.records, progressRecord{
+		metrics:   m,
+		point:     [5]int32{int32(pt.RUU), int32(pt.LSQ), int32(pt.Decode), int32(pt.Issue), int32(pt.Commit)},
+		index:     int32(index),
+		completed: int32(f.start.Resumed + len(f.records) + 1),
+		served:    served,
+	})
+}
+
+// finish publishes the terminal event — "done" when err is nil, "error"
+// otherwise — with the completion count and oracle provenance tallied
+// from the feed's own history. Only the first terminal event counts.
+func (f *progressFeed) finish(err error) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.done {
+		return
+	}
+	f.done = true
+	f.end = ProgressEvent{TraceID: f.id, Total: f.start.Total, Resumed: f.start.Resumed,
+		Completed: f.start.Resumed + len(f.records)}
+	if err != nil {
+		f.end.Type, f.end.Error = "error", err.Error()
+	} else {
+		f.end.Type, f.end.FromStore, f.end.FromSurrogate = "done", f.fromStore, f.fromSurrogate
+	}
+	f.wakeLocked()
+}
+
+// next renders the events from index from onward and reports whether
+// the feed has ended. When nothing new is available on a live feed it
+// instead returns a channel that closes on the next publish, for the
+// caller to park on.
 func (f *progressFeed) next(from int) (evs []ProgressEvent, done bool, wake <-chan struct{}) {
 	if f == nil {
 		return nil, true, nil
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if from < len(f.events) {
-		evs = f.events[from:len(f.events):len(f.events)]
+	started, start, records, done, end := f.started, f.start, f.records, f.done, f.end
+	n := len(records)
+	if started {
+		n++
 	}
-	return evs, f.done, f.wake
+	if done {
+		n++
+	}
+	if from >= n {
+		if !done && f.wake == nil {
+			f.wake = make(chan struct{})
+		}
+		wake = f.wake
+		f.mu.Unlock()
+		return nil, done, wake
+	}
+	f.mu.Unlock()
+
+	// Records below len are never rewritten, so rendering reads the
+	// snapshot outside the lock.
+	evs = make([]ProgressEvent, 0, n-from)
+	points := make([]SweepPoint, 0, n-from)
+	metrics := make([]SimMetrics, 0, n-from)
+	for i := from; i < n; i++ {
+		k := i
+		if started {
+			if k == 0 {
+				evs = append(evs, start)
+				continue
+			}
+			k--
+		}
+		if k == len(records) {
+			evs = append(evs, end)
+			continue
+		}
+		r := &records[k]
+		p := r.point
+		points = append(points, SweepPoint{RUU: int(p[0]), LSQ: int(p[1]), Decode: int(p[2]), Issue: int(p[3]), Commit: int(p[4])})
+		metrics = append(metrics, r.metrics)
+		ev := ProgressEvent{Type: "point", TraceID: f.id, Completed: int(r.completed), Index: int(r.index),
+			Point: &points[len(points)-1], Metrics: &metrics[len(metrics)-1]}
+		switch r.served {
+		case recordStore:
+			ev.Served = ServedFromStore
+		case recordSurrogate:
+			ev.Served, ev.Estimated = ServedFromSurrogate, true
+		}
+		evs = append(evs, ev)
+	}
+	return evs, done, nil
 }
 
 // progressHub indexes feeds by trace ID. Finished feeds are retained

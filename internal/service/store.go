@@ -27,8 +27,10 @@ const (
 	// after its checksum is computed, planting a corrupt file that the
 	// next load must quarantine.
 	SiteStoreCorrupt = "store.corrupt"
-	// SiteJournalAppend fails a sweep-journal append; the point's
-	// result is still returned, it is just recomputed on resume.
+	// SiteJournalAppend fires once per sweep-journal commit (one
+	// AppendBatch that has new points). A failure drops the whole
+	// batch: its results are still returned, they are just recomputed
+	// on resume.
 	SiteJournalAppend = "journal.append"
 	// SiteProfileJob, SiteSimulateJob and SiteSweepJob run at the top
 	// of the respective pool jobs: errors, panics and delays there

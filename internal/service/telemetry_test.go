@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -18,6 +19,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -303,24 +305,34 @@ func TestPromEscape(t *testing.T) {
 // subscriber replay, and the post-terminal drop.
 func TestProgressFeed(t *testing.T) {
 	f := newProgressFeed("trace-1")
-	f.publish(ProgressEvent{Type: "start", Total: 2})
-	f.publish(ProgressEvent{Type: "point", Index: 0})
+	grid := QuickGrid()[:2]
+	results := []SweepResult{{Point: grid[0]}, {Point: grid[1]}}
+	f.begin(len(grid), 0)
+	f.publishPoints([]int{0}, results)
 
 	evs, done, wake := f.next(0)
-	if len(evs) != 2 || done {
-		t.Fatalf("next(0) = %d events done=%v", len(evs), done)
+	if len(evs) != 2 || done || wake != nil {
+		t.Fatalf("next(0) = %d events done=%v wake=%v", len(evs), done, wake)
 	}
 	if evs[0].TraceID != "trace-1" || evs[0].Type != "start" || evs[1].Type != "point" {
 		t.Fatalf("events = %+v", evs)
 	}
+	if evs[1].TraceID != "trace-1" || evs[1].Completed != 1 || *evs[1].Point != grid[0] {
+		t.Fatalf("point event = %+v", evs[1])
+	}
 
-	// A waiting subscriber wakes on the next publish.
+	// A subscriber that has caught up gets a wake channel to park on,
+	// and wakes on the next publish.
+	evs, done, wake = f.next(2)
+	if len(evs) != 0 || done || wake == nil {
+		t.Fatalf("caught-up next = %d events done=%v wake=%v", len(evs), done, wake)
+	}
 	published := make(chan struct{})
 	go func() {
 		<-wake
 		close(published)
 	}()
-	f.publish(ProgressEvent{Type: "done"})
+	f.finish(nil)
 	select {
 	case <-published:
 	case <-time.After(5 * time.Second):
@@ -332,10 +344,120 @@ func TestProgressFeed(t *testing.T) {
 	if len(evs) != 3 || !done {
 		t.Fatalf("replay = %d events done=%v", len(evs), done)
 	}
+	if end := evs[2]; end.Type != "done" || end.Total != 2 || end.Completed != 1 {
+		t.Fatalf("done event = %+v", end)
+	}
 	// Post-terminal publishes are dropped.
-	f.publish(ProgressEvent{Type: "point", Index: 1})
-	if evs, _, _ := f.next(0); len(evs) != 3 {
+	f.publishPoints([]int{1}, results)
+	f.finish(errors.New("late"))
+	if evs, _, _ := f.next(0); len(evs) != 3 || evs[2].Type != "done" {
 		t.Fatalf("post-terminal event accepted: %d events", len(evs))
+	}
+}
+
+// TestProgressRecordCompact pins the feed's per-point retention: a
+// record is a pointer-free value of at most 80 bytes, and publishing a
+// point into a pre-sized feed with no subscriber allocates nothing.
+func TestProgressRecordCompact(t *testing.T) {
+	if size := unsafe.Sizeof(progressRecord{}); size > 80 {
+		t.Fatalf("progressRecord is %d bytes, want <= 80", size)
+	}
+	grid := PaperGrid()
+	results := make([]SweepResult, len(grid))
+	for i := range results {
+		results[i] = SweepResult{Point: grid[i], Served: ServedFromStore}
+	}
+	f := newProgressFeed("compact")
+	f.begin(len(grid), 0)
+	batch := []int{0}
+	allocs := testing.AllocsPerRun(200, func() {
+		f.publishPoints(batch, results)
+		batch[0]++
+	})
+	if allocs != 0 {
+		t.Fatalf("publishing a point allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestProgressFeedConcurrent publishes batches from several goroutines
+// while a subscriber streams the feed as the SSE handler does (render
+// outside the lock, park on the wake channel): it must see every point
+// once, with completed counting 1..N in feed order, then the terminal
+// event.
+func TestProgressFeedConcurrent(t *testing.T) {
+	const publishers, batches, batchSize = 4, 25, 8
+	n := publishers * batches * batchSize
+	grid := make([]SweepPoint, n)
+	results := make([]SweepResult, n)
+	for i := range grid {
+		grid[i] = SweepPoint{RUU: i + 1, LSQ: 1, Decode: 1, Issue: 1, Commit: 1}
+		results[i] = SweepResult{Point: grid[i]}
+	}
+	f := newProgressFeed("concurrent")
+	f.begin(n, 0)
+
+	got := make(chan []ProgressEvent, 1)
+	go func() {
+		var evs []ProgressEvent
+		for next := 0; ; {
+			batch, done, wake := f.next(next)
+			evs = append(evs, batch...)
+			next += len(batch)
+			if len(batch) > 0 {
+				continue
+			}
+			if done {
+				break
+			}
+			<-wake
+		}
+		got <- evs
+	}()
+
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				base := (p*batches + b) * batchSize
+				idx := make([]int, batchSize)
+				for k := range idx {
+					idx[k] = base + k
+				}
+				f.publishPoints(idx, results)
+			}
+		}(p)
+	}
+	wg.Wait()
+	f.finish(nil)
+
+	var evs []ProgressEvent
+	select {
+	case evs = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("subscriber never saw the terminal event")
+	}
+	if len(evs) != n+2 || evs[0].Type != "start" || evs[n+1].Type != "done" || evs[n+1].Completed != n {
+		t.Fatalf("stream of %d events, want start + %d points + done", len(evs), n)
+	}
+	seen := make([]bool, n)
+	for k, ev := range evs[1 : n+1] {
+		if ev.Completed != k+1 || seen[ev.Index] || *ev.Point != grid[ev.Index] {
+			t.Fatalf("point event %d = %+v", k, ev)
+		}
+		seen[ev.Index] = true
+	}
+}
+
+// TestSweepRejectsPointOutOfRange: a point field a progress record
+// cannot hold is a 400, before any work starts.
+func TestSweepRejectsPointOutOfRange(t *testing.T) {
+	_, ts := newTestServer(t)
+	pts := []SweepPoint{{RUU: 1 << 40, LSQ: 8, Decode: 4, Issue: 4, Commit: 4}}
+	code, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Profile: clusterTestSpec, Points: pts}, nil)
+	if code != http.StatusBadRequest || !strings.Contains(body, "out of range") {
+		t.Fatalf("status %d (%s), want 400 out of range", code, body)
 	}
 }
 
@@ -347,7 +469,7 @@ func TestProgressHub(t *testing.T) {
 	if h.feed("a") != a {
 		t.Fatal("feed not memoised")
 	}
-	a.publish(ProgressEvent{Type: "done"})
+	a.finish(nil)
 	h.feed("b")
 	h.feed("c") // over capacity: the finished "a" goes first
 	if h.size() != 2 {

@@ -97,7 +97,7 @@ func TestMeanCI(t *testing.T) {
 	if ci.DF != 3 {
 		t.Errorf("DF = %d, want 3", ci.DF)
 	}
-	if !ci.Contains(10) || ci.Contains(10 + wantHalf + 1e-9) {
+	if !ci.Contains(10) || ci.Contains(10+wantHalf+1e-9) {
 		t.Error("Contains is wrong at the boundaries")
 	}
 	if got := ci.RelHalfWidth(); math.Abs(got-wantHalf/10) > 1e-12 {
