@@ -117,54 +117,3 @@ func TestPipelineFuzzEDSConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStreamBuf(t *testing.T) {
-	insts := make([]trace.DynInst, 100)
-	for i := range insts {
-		insts[i].Seq = uint64(i)
-	}
-	sb := newStreamBuf(trace.NewSliceSource(insts))
-	if d := sb.at(0); d == nil || d.Seq != 0 {
-		t.Fatal("at(0) failed")
-	}
-	if d := sb.at(99); d == nil || d.Seq != 99 {
-		t.Fatal("at(99) failed")
-	}
-	// Rewind within the buffer works.
-	if d := sb.at(10); d == nil || d.Seq != 10 {
-		t.Fatal("rewind failed")
-	}
-	if sb.at(100) != nil {
-		t.Fatal("beyond EOF should be nil")
-	}
-	if sb.at(100) != nil {
-		t.Fatal("EOF must be sticky")
-	}
-	// Release then access above the release point.
-	sb.release(50)
-	if d := sb.at(60); d == nil || d.Seq != 60 {
-		t.Fatal("access after release failed")
-	}
-}
-
-func TestStreamBufReleaseCompaction(t *testing.T) {
-	insts := make([]trace.DynInst, 10000)
-	for i := range insts {
-		insts[i].Seq = uint64(i)
-	}
-	sb := newStreamBuf(trace.NewSliceSource(insts))
-	sb.at(9000)
-	sb.release(8192) // above the compaction threshold
-	if len(sb.buf) >= 9000 {
-		t.Errorf("buffer not compacted: %d entries", len(sb.buf))
-	}
-	if d := sb.at(8500); d == nil || d.Seq != 8500 {
-		t.Fatal("post-compaction access failed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("access below release point should panic")
-		}
-	}()
-	sb.at(100)
-}

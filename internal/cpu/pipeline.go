@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bpred"
@@ -20,6 +21,38 @@ const (
 	stateDone                      // result available
 )
 
+// Locality-event bits of one access. The index they form selects from
+// the pipeline's per-config fetch-stall and load-latency tables.
+const (
+	missL1  = 1 << iota // missed in the L1
+	missL2              // ... and in the unified L2
+	missTLB             // missed in the TLB
+
+	missCombos = 8
+)
+
+// iFlagMiss and dFlagMiss convert a trace record's pre-assigned I-side
+// and D-side locality flags to a miss index. trace.Flags holds each
+// side's events in missIndex's bit order (I-side in bits 0..2, D-side
+// in bits 3..5), so the conversion is a shift and a mask.
+func iFlagMiss(f trace.Flags) uint8 { return uint8(f) & (missCombos - 1) }
+func dFlagMiss(f trace.Flags) uint8 { return uint8(f>>3) & (missCombos - 1) }
+
+// missIndex packs one access's locality events.
+func missIndex(l1, l2, tlb bool) uint8 {
+	var m uint8
+	if l1 {
+		m |= missL1
+	}
+	if l2 {
+		m |= missL2
+	}
+	if tlb {
+		m |= missTLB
+	}
+	return m
+}
+
 // waiterRef names a dependent RUU entry; gen guards against the slot
 // having been squashed and reused since the dependency was recorded.
 type waiterRef struct {
@@ -27,20 +60,25 @@ type waiterRef struct {
 	gen  uint32
 }
 
+// ruuEntry holds what the back end needs of an instruction after
+// dispatch; everything else is read from the stream at fetch and
+// dispatch time.
 type ruuEntry struct {
-	inst       trace.DynInst
 	pos        uint64 // stream position
 	completeAt uint64
+	effAddr    uint64      // data address (live D-side model)
 	waiters    []waiterRef // RUU entries waiting on this result
 	outcome    bpred.Outcome
-	waitCount  int
+	waitCount  int32
 	gen        uint32
+	flags      trace.Flags // pre-assigned locality events
+	class      isa.Class
 	state      entryState
+	dMiss      uint8 // data-access locality events (missL1|missL2|missTLB)
+	taken      bool
 	wrongPath  bool
 	isMem      bool
 	active     bool
-
-	dL1, dL2, dTLB bool // data-access locality events (loads/stores)
 }
 
 type ifqEntry struct {
@@ -56,13 +94,30 @@ type depRec struct {
 	used bool
 }
 
-const depTableSize = 4096 // > RUU + IFQ + MaxDependencyDistance, power of two
+// Pipeline stages that charge a stall counter on a cycle in which they
+// move nothing (writeback has no stall causes).
+const (
+	stageFetch = iota
+	stageDispatch
+	stageIssue
+	stageCommit
+	numStallStages
+)
+
+// watchdogCycles is the forward-progress bound: a run that commits
+// nothing for this many cycles panics.
+const watchdogCycles = 1_000_000
 
 // Pipeline is one simulation instance. It is single-use: construct,
 // Run, read the Result.
 type Pipeline struct {
-	cfg  Config
-	sbuf *streamBuf
+	cfg Config
+	cur *trace.Cursor // the stream, read in place by position
+
+	// Per-config constants, computed once at construction.
+	fetchWidth int
+	fetchStall [missCombos]int // fetch stall in cycles, by I-side miss index
+	loadLat    [missCombos]int // load latency in cycles, by D-side miss index
 
 	// Live locality models. Execution-driven mode sets all of them;
 	// plain trace mode sets none; the synthetic-address mode
@@ -84,13 +139,23 @@ type Pipeline struct {
 
 	lsqLen int
 
-	deps  [depTableSize]depRec
-	ready []int32
+	// In-flight producer records, indexed by stream position modulo
+	// len(deps). RUU positions are contiguous, so a producer still in
+	// flight is fewer than RUUSize positions behind any consumer, and
+	// no position that could overwrite its record is in between: a
+	// power of two >= RUUSize entries suffices.
+	deps    []depRec
+	depMask uint64
+	ready   []int32
 
-	// Completion wheel: wheel[c % len(wheel)] holds the entries whose
+	// Completion wheel: wheel[c & wheelMask] holds the entries whose
 	// results become available at cycle c, so writeback touches only
 	// completing entries instead of scanning the RUU every cycle.
-	wheel [][]waiterRef
+	// wheelBits marks the non-empty slots, so the idle-cycle skip finds
+	// the next completion without scanning the slots.
+	wheel     [][]waiterRef
+	wheelBits []uint64
+	wheelMask uint64
 
 	// Functional-unit pools: busy-until cycle per unit instance.
 	fuIntALU, fuLS, fuFPAdd, fuIntMul, fuFPMul []uint64
@@ -109,6 +174,16 @@ type Pipeline struct {
 	lastCommitCycle uint64
 	lastCommitted   uint64
 
+	// stalled records, per stage, the stall counter the current cycle
+	// charged (nil if the stage moved or charged none), so an idle-cycle
+	// skip charges the skipped cycles to the same counters.
+	stalled [numStallStages]*uint64
+	// stepEveryCycle disables idle-cycle skipping. Only in-package tests
+	// set it, to keep one-cycle stepping as the reference the skip is
+	// checked against.
+	stepEveryCycle bool
+	skipped        uint64 // cycles fast-forwarded by skipIdle (for tests)
+
 	res       Result
 	occRUUSum uint64
 	occLSQSum uint64
@@ -118,7 +193,7 @@ type Pipeline struct {
 // NewExecutionDriven builds the reference simulator: locality events
 // are computed live from fresh cache and branch-predictor models.
 func NewExecutionDriven(cfg Config, src trace.Source) *Pipeline {
-	p := newPipeline(cfg, src)
+	p := newPipeline(cfg, trace.NewSpool(src).NewCursor())
 	if !cfg.PerfectCaches {
 		h := cache.NewHierarchy(cfg.Hier)
 		p.iHier, p.dHier = h, h
@@ -135,14 +210,23 @@ func NewExecutionDriven(cfg Config, src trace.Source) *Pipeline {
 // the data side of the hierarchy is simulated live instead, so cache
 // configurations other than the profiled one can be evaluated.
 func NewTraceDriven(cfg Config, src trace.Source) *Pipeline {
-	p := newPipeline(cfg, src)
+	return NewTraceDrivenCursor(cfg, trace.NewSpool(src).NewCursor())
+}
+
+// NewTraceDrivenCursor is NewTraceDriven over one cursor of a shared
+// trace.Spool: the pipeline reads the stream in place and releases it
+// as it commits, so many pipelines can share one materialised window
+// (the lockstep batch driver). The cursor must be fresh and belongs to
+// the pipeline until the run drains.
+func NewTraceDrivenCursor(cfg Config, cur *trace.Cursor) *Pipeline {
+	p := newPipeline(cfg, cur)
 	if cfg.SimulateDCache && !cfg.PerfectCaches {
 		p.dHier = cache.NewHierarchy(cfg.Hier)
 	}
 	return p
 }
 
-func newPipeline(cfg Config, src trace.Source) *Pipeline {
+func newPipeline(cfg Config, cur *trace.Cursor) *Pipeline {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -152,19 +236,34 @@ func newPipeline(cfg Config, src trace.Source) *Pipeline {
 	for wheelSize <= cfg.Hier.MemLatency+cfg.Hier.TLBMissLatency+64 {
 		wheelSize <<= 1
 	}
-	return &Pipeline{
-		cfg:      cfg,
-		warmLeft: cfg.WarmupInsts,
-		sbuf:     newStreamBuf(src),
-		ruu:      make([]ruuEntry, cfg.RUUSize),
-		ifq:      make([]ifqEntry, cfg.IFQSize),
-		wheel:    make([][]waiterRef, wheelSize),
-		fuIntALU: make([]uint64, cfg.IntALUs),
-		fuLS:     make([]uint64, cfg.LoadStore),
-		fuFPAdd:  make([]uint64, cfg.FPAdders),
-		fuIntMul: make([]uint64, cfg.IntMulDivs),
-		fuFPMul:  make([]uint64, cfg.FPMulDivs),
+	depSize := 1
+	for depSize < cfg.RUUSize {
+		depSize <<= 1
 	}
+	p := &Pipeline{
+		cfg:        cfg,
+		cur:        cur,
+		fetchWidth: cfg.FetchWidth(),
+		warmLeft:   cfg.WarmupInsts,
+		ruu:        make([]ruuEntry, cfg.RUUSize),
+		ifq:        make([]ifqEntry, cfg.IFQSize),
+		deps:       make([]depRec, depSize),
+		depMask:    uint64(depSize - 1),
+		wheel:      make([][]waiterRef, wheelSize),
+		wheelBits:  make([]uint64, wheelSize/64),
+		wheelMask:  uint64(wheelSize - 1),
+		fuIntALU:   make([]uint64, cfg.IntALUs),
+		fuLS:       make([]uint64, cfg.LoadStore),
+		fuFPAdd:    make([]uint64, cfg.FPAdders),
+		fuIntMul:   make([]uint64, cfg.IntMulDivs),
+		fuFPMul:    make([]uint64, cfg.FPMulDivs),
+	}
+	for m := range missCombos {
+		l1, l2, tlb := m&missL1 != 0, m&missL2 != 0, m&missTLB != 0
+		p.fetchStall[m] = cfg.Hier.FetchStall(l1, l2, tlb)
+		p.loadLat[m] = cfg.Hier.LoadLatency(l1, l2, tlb)
+	}
+	return p
 }
 
 // scheduleCompletion registers an issued entry on the completion wheel.
@@ -173,8 +272,32 @@ func (p *Pipeline) scheduleCompletion(slot int32, en *ruuEntry) {
 	if d >= uint64(len(p.wheel)) {
 		panic(fmt.Sprintf("cpu: latency %d exceeds completion wheel (%d)", d, len(p.wheel)))
 	}
-	idx := en.completeAt % uint64(len(p.wheel))
+	idx := en.completeAt & p.wheelMask
 	p.wheel[idx] = append(p.wheel[idx], waiterRef{slot: slot, gen: en.gen})
+	p.wheelBits[idx>>6] |= 1 << (idx & 63)
+}
+
+// nextCompletion returns the first cycle at or after the current one
+// whose wheel slot holds entries. Every pending completion lies less
+// than one wheel revolution ahead (scheduleCompletion enforces it, and
+// writeback empties each slot on its cycle), so the first marked slot
+// found scanning forward from the current one, wrapping once, is the
+// earliest.
+func (p *Pipeline) nextCompletion() (uint64, bool) {
+	start := p.cycle & p.wheelMask
+	w := start >> 6
+	word := p.wheelBits[w] &^ (1<<(start&63) - 1)
+	for range len(p.wheelBits) + 1 {
+		if word != 0 {
+			idx := w<<6 | uint64(bits.TrailingZeros64(word))
+			return p.cycle + (idx-start)&p.wheelMask, true
+		}
+		if w++; w == uint64(len(p.wheelBits)) {
+			w = 0
+		}
+		word = p.wheelBits[w]
+	}
+	return 0, false
 }
 
 // Run simulates until the source is exhausted and the pipeline drains,
@@ -184,17 +307,19 @@ func (p *Pipeline) Run() Result {
 	return p.Finalize()
 }
 
-// step advances the pipeline by exactly one cycle and reports whether
-// the run has drained (stream exhausted, windows empty). It is the one
-// cycle kernel shared by Run and the lockstep batch driver, so a
-// pipeline advanced in segments executes the identical cycle sequence
-// as a monolithic run.
+// step advances the pipeline by one cycle — or, after a cycle in which
+// no stage moved, to the next cycle at which something can happen (see
+// skipIdle) — and reports whether the run has drained (stream
+// exhausted, windows empty). It is the one kernel shared by Run and the
+// lockstep batch driver; how far a step advances depends only on
+// pipeline state, so a pipeline advanced in segments executes the
+// identical cycle sequence as a monolithic run.
 func (p *Pipeline) step() bool {
-	p.commit()
-	p.writeback()
-	p.issue()
-	p.dispatch()
-	p.fetch()
+	committed := p.commit()
+	completed := p.writeback()
+	issued := p.issue()
+	dispatched := p.dispatch()
+	fetched := p.fetch()
 
 	p.occRUUSum += uint64(p.ruuLen)
 	p.occLSQSum += uint64(p.lsqLen)
@@ -208,26 +333,90 @@ func (p *Pipeline) step() bool {
 	if p.res.Instructions != p.lastCommitted {
 		p.lastCommitted = p.res.Instructions
 		p.lastCommitCycle = p.cycle
-	} else if p.cycle-p.lastCommitCycle > 1_000_000 {
+	} else if p.cycle-p.lastCommitCycle > watchdogCycles {
 		panic(fmt.Sprintf("cpu: no commit for 1M cycles at cycle %d (ruu=%d ifq=%d)",
 			p.cycle, p.ruuLen, p.ifqLen))
+	}
+	if committed|issued|dispatched|fetched == 0 && !completed && !p.stepEveryCycle {
+		p.skipIdle()
 	}
 	return false
 }
 
-// RunToFetch advances the pipeline cycle by cycle until its fetch
-// frontier reaches stream position limit or the run drains; it reports
-// whether the run has drained. This is the batch-driver hook behind
-// lockstep multi-config simulation: the driver moves each instance one
-// stream chunk at a time, and because step is the same kernel Run uses,
-// any segmentation of the run — including the degenerate
+// skipIdle fast-forwards over the cycles that would repeat the idle
+// cycle just stepped. With nothing committed, completed, issued,
+// dispatched or fetched, the pipeline's state is what it was when that
+// cycle began (fetch may have noted the end of the stream, and issue
+// dropped squashed ready-list entries; neither changes what a later
+// cycle does), so every following cycle moves nothing and charges the
+// same stall counters — until one of the timed events the stages
+// compare the cycle against comes due: the next occupied completion
+// wheel slot, the end of a fetch penalty (fetchResume), a busy
+// functional unit freeing up when issue stalled on busy units, or the
+// cycle at which the forward-progress watchdog fires. An event at
+// cycle t means cycle t is stepped; the cycles before it are accounted
+// in bulk, exactly as one-cycle stepping would have counted them.
+//
+// (With today's unit model a busy unit frees on the cycle its own
+// result reaches the wheel, so the unit event never comes first; it is
+// kept so the skip does not depend on that coincidence.)
+func (p *Pipeline) skipIdle() {
+	next := p.lastCommitCycle + watchdogCycles
+	if t, ok := p.nextCompletion(); ok && t < next {
+		next = t
+	}
+	if p.fetchResume >= p.cycle && p.fetchResume < next {
+		next = p.fetchResume
+	}
+	if p.stalled[stageIssue] == &p.res.Pipe.Stall.IssueFUBusy {
+		for _, pool := range [...][]uint64{p.fuIntALU, p.fuLS, p.fuFPAdd, p.fuIntMul, p.fuFPMul} {
+			for _, busy := range pool {
+				if busy >= p.cycle && busy < next {
+					next = busy
+				}
+			}
+		}
+	}
+	if next <= p.cycle {
+		return
+	}
+	k := next - p.cycle
+	p.res.Pipe.Fetch[0] += k
+	p.res.Pipe.Dispatch[0] += k
+	p.res.Pipe.Issue[0] += k
+	p.res.Pipe.Commit[0] += k
+	for _, c := range p.stalled {
+		if c != nil {
+			*c += k
+		}
+	}
+	p.occRUUSum += uint64(p.ruuLen) * k
+	p.occLSQSum += uint64(p.lsqLen) * k
+	p.occIFQSum += uint64(p.ifqLen) * k
+	p.cycle = next
+	p.skipped += k
+}
+
+// stall charges one zero-throughput cycle of stage to counter c and
+// remembers the choice for skipIdle.
+func (p *Pipeline) stall(stage int, c *uint64) {
+	*c++
+	p.stalled[stage] = c
+}
+
+// RunToFetch advances the pipeline until its fetch frontier reaches
+// stream position limit or the run drains; it reports whether the run
+// has drained. This is the batch-driver hook behind lockstep
+// multi-config simulation: the driver moves each instance one stream
+// chunk at a time, and because step is the same kernel Run uses, any
+// segmentation of the run — including the degenerate
 // RunToFetch(MaxUint64) that Run itself performs — produces
 // byte-identical statistics.
 //
 // A mispredict recovery may rewind the fetch frontier below an
 // already-reached limit; the next call simply advances until the
-// frontier passes it again, re-reading from the pipeline's own stream
-// buffer (never from the source, whose cursor is monotone).
+// frontier passes it again, re-reading the unreleased part of the
+// stream through the pipeline's cursor.
 func (p *Pipeline) RunToFetch(limit uint64) bool {
 	for !p.halted {
 		if p.fetchPos >= limit {
@@ -256,54 +445,62 @@ func (p *Pipeline) Finalize() Result {
 
 // ---------------------------------------------------------------- fetch
 
-func (p *Pipeline) fetch() {
+// fetch runs the fetch stage and returns how many instructions it
+// delivered to the IFQ.
+func (p *Pipeline) fetch() uint64 {
+	st := &p.res.Pipe.Stall
 	if p.cycle < p.fetchResume {
-		p.res.Pipe.Stall.FetchPenalty++
+		p.stall(stageFetch, &st.FetchPenalty)
 		p.res.Pipe.Fetch.observe(0)
-		return
+		return 0
 	}
 	if p.streamEnd && p.wrongPath {
-		p.res.Pipe.Stall.FetchStreamEnd++
+		p.stall(stageFetch, &st.FetchStreamEnd)
 		p.res.Pipe.Fetch.observe(0)
-		return
+		return 0
 	}
-	fetched := uint64(0)
-	defer func() {
-		if fetched == 0 {
-			switch {
-			case p.ifqLen >= p.cfg.IFQSize:
-				p.res.Pipe.Stall.FetchIFQFull++
-			case p.streamEnd || p.wrongPath:
-				p.res.Pipe.Stall.FetchStreamEnd++
-			}
+	fetched := p.fetchInsts()
+	if fetched == 0 {
+		switch {
+		case p.ifqLen >= p.cfg.IFQSize:
+			p.stall(stageFetch, &st.FetchIFQFull)
+		case p.streamEnd || p.wrongPath:
+			p.stall(stageFetch, &st.FetchStreamEnd)
+		default:
+			p.stalled[stageFetch] = nil
 		}
-		p.res.Pipe.Fetch.observe(fetched)
-	}()
-	budget := p.cfg.FetchWidth()
-	for budget > 0 && p.ifqLen < p.cfg.IFQSize {
-		d := p.sbuf.at(p.fetchPos)
+	}
+	p.res.Pipe.Fetch.observe(fetched)
+	return fetched
+}
+
+// fetchInsts fetches up to the fetch width into the IFQ.
+func (p *Pipeline) fetchInsts() uint64 {
+	fetched := uint64(0)
+	for budget := p.fetchWidth; budget > 0 && p.ifqLen < p.cfg.IFQSize; budget-- {
+		d := p.cur.At(p.fetchPos)
 		if d == nil {
 			if !p.wrongPath {
 				p.streamEnd = true
 			}
-			return
+			return fetched
 		}
 		e := ifqEntry{pos: p.fetchPos, wrongPath: p.wrongPath}
 		p.res.Act.Fetched++
 		fetched++
-		budget--
 		p.fetchPos++
 
 		stall := 0
+		isBranch := d.Class.IsBranch()
 		if !p.wrongPath {
 			stall = p.fetchLocality(d)
-			if d.Class.IsBranch() {
+			if isBranch {
 				e.outcome = p.predictBranch(d)
 			}
 		}
 		p.ifqPush(e)
 
-		if !p.wrongPath && d.Class.IsBranch() {
+		if !p.wrongPath && isBranch {
 			if e.outcome.Mispredicted {
 				// Everything fetched from here on is wrong-path filler
 				// until the branch resolves (§2.3).
@@ -324,6 +521,7 @@ func (p *Pipeline) fetch() {
 			break
 		}
 	}
+	return fetched
 }
 
 // fetchLocality performs the I-side cache work for a correct-path fetch
@@ -334,26 +532,24 @@ func (p *Pipeline) fetchLocality(d *trace.DynInst) int {
 	if p.cfg.PerfectCaches {
 		return 0
 	}
-	var l1, l2, tlb bool
+	var m uint8
 	if p.iHier != nil {
 		r := p.iHier.AccessI(d.PC)
-		l1, l2, tlb = r.L1Miss, r.L2Miss, r.TLBMiss
+		m = missIndex(r.L1Miss, r.L2Miss, r.TLBMiss)
 	} else {
-		l1 = d.Flags.Has(trace.FlagL1IMiss)
-		l2 = d.Flags.Has(trace.FlagL2IMiss)
-		tlb = d.Flags.Has(trace.FlagITLBMiss)
+		m = iFlagMiss(d.Flags)
 	}
-	if l1 {
+	if m&missL1 != 0 {
 		p.res.Cache.L1IMisses++
 		p.res.Act.L2Accesses++
-		if l2 {
+		if m&missL2 != 0 {
 			p.res.Cache.L2IMisses++
 		}
 	}
-	if tlb {
+	if m&missTLB != 0 {
 		p.res.Cache.ITLBMisses++
 	}
-	return p.cfg.Hier.FetchStall(l1, l2, tlb)
+	return p.fetchStall[m]
 }
 
 // predictBranch produces the branch outcome for a correct-path branch
@@ -376,50 +572,69 @@ func (p *Pipeline) predictBranch(d *trace.DynInst) bpred.Outcome {
 }
 
 func (p *Pipeline) ifqPush(e ifqEntry) {
-	p.ifq[(p.ifqHead+p.ifqLen)%p.cfg.IFQSize] = e
+	i := p.ifqHead + p.ifqLen
+	if i >= p.cfg.IFQSize {
+		i -= p.cfg.IFQSize
+	}
+	p.ifq[i] = e
 	p.ifqLen++
 }
 
 // -------------------------------------------------------------- dispatch
 
-func (p *Pipeline) dispatch() {
-	moved := uint64(0)
-	defer func() {
-		if moved == 0 {
-			switch {
-			case p.ifqLen == 0:
-				p.res.Pipe.Stall.DispatchEmptyIFQ++
-			case p.ruuLen >= p.cfg.RUUSize:
-				p.res.Pipe.Stall.DispatchRUUFull++
-			default:
-				p.res.Pipe.Stall.DispatchLSQFull++
-			}
+// dispatch moves instructions from the IFQ into the RUU (and LSQ) and
+// returns how many it moved.
+func (p *Pipeline) dispatch() uint64 {
+	moved := p.dispatchInsts()
+	if moved == 0 {
+		st := &p.res.Pipe.Stall
+		switch {
+		case p.ifqLen == 0:
+			p.stall(stageDispatch, &st.DispatchEmptyIFQ)
+		case p.ruuLen >= p.cfg.RUUSize:
+			p.stall(stageDispatch, &st.DispatchRUUFull)
+		default:
+			p.stall(stageDispatch, &st.DispatchLSQFull)
 		}
-		p.res.Pipe.Dispatch.observe(moved)
-	}()
+	}
+	p.res.Pipe.Dispatch.observe(moved)
+	return moved
+}
+
+func (p *Pipeline) dispatchInsts() uint64 {
+	moved := uint64(0)
 	for n := 0; n < p.cfg.DecodeWidth && p.ifqLen > 0 && p.ruuLen < p.cfg.RUUSize; n++ {
 		fe := &p.ifq[p.ifqHead]
-		d := p.sbuf.at(fe.pos)
+		d := p.cur.At(fe.pos)
 		isMem := d.Class.IsMem()
 		if isMem && p.lsqLen >= p.cfg.LSQSize {
-			return
+			break
 		}
-		p.ifqHead = (p.ifqHead + 1) % p.cfg.IFQSize
+		if p.ifqHead++; p.ifqHead == p.cfg.IFQSize {
+			p.ifqHead = 0
+		}
 		p.ifqLen--
 
-		slot := int32((p.ruuHead + p.ruuLen) % p.cfg.RUUSize)
+		si := p.ruuHead + p.ruuLen
+		if si >= p.cfg.RUUSize {
+			si -= p.cfg.RUUSize
+		}
+		slot := int32(si)
 		p.ruuLen++
 		en := &p.ruu[slot]
 		gen := en.gen + 1
 		*en = ruuEntry{
-			inst:      *d,
 			pos:       fe.pos,
+			effAddr:   d.EffAddr,
+			waiters:   en.waiters[:0],
 			outcome:   fe.outcome,
 			gen:       gen,
+			flags:     d.Flags,
+			class:     d.Class,
+			taken:     d.Taken,
 			wrongPath: fe.wrongPath,
 			isMem:     isMem,
 			active:    true,
-			waiters:   en.waiters[:0],
 		}
 		if isMem {
 			p.lsqLen++
@@ -446,13 +661,14 @@ func (p *Pipeline) dispatch() {
 		if p.cfg.InOrder {
 			p.addDep(en, slot, gen, fe.pos, uint64(d.WAWDist))
 		}
-		p.deps[fe.pos%depTableSize] = depRec{pos: fe.pos, slot: slot, gen: gen, used: true}
+		p.deps[fe.pos&p.depMask] = depRec{pos: fe.pos, slot: slot, gen: gen, used: true}
 
 		if en.waitCount == 0 {
 			en.state = stateReady
 			p.markReady(slot)
 		}
 	}
+	return moved
 }
 
 // addDep records a dependency of the entry at slot on the instruction
@@ -462,7 +678,7 @@ func (p *Pipeline) addDep(en *ruuEntry, slot int32, gen uint32, pos, delta uint6
 		return
 	}
 	q := pos - delta
-	rec := &p.deps[q%depTableSize]
+	rec := &p.deps[q&p.depMask]
 	if !rec.used || rec.pos != q {
 		return
 	}
@@ -484,7 +700,9 @@ func (p *Pipeline) markReady(slot int32) {
 
 // ----------------------------------------------------------------- issue
 
-func (p *Pipeline) issue() {
+// issue selects ready instructions onto functional units and returns
+// how many it issued.
+func (p *Pipeline) issue() uint64 {
 	var issued uint64
 	var sawReady bool
 	if p.cfg.InOrder {
@@ -492,14 +710,18 @@ func (p *Pipeline) issue() {
 	} else {
 		issued, sawReady = p.issueOutOfOrder()
 	}
-	if issued == 0 && p.ruuLen > 0 {
-		if sawReady {
-			p.res.Pipe.Stall.IssueFUBusy++
-		} else {
-			p.res.Pipe.Stall.IssueNoReady++
+	if issued == 0 {
+		switch {
+		case p.ruuLen == 0:
+			p.stalled[stageIssue] = nil
+		case sawReady:
+			p.stall(stageIssue, &p.res.Pipe.Stall.IssueFUBusy)
+		default:
+			p.stall(stageIssue, &p.res.Pipe.Stall.IssueNoReady)
 		}
 	}
 	p.res.Pipe.Issue.observe(issued)
+	return issued
 }
 
 func (p *Pipeline) issueOutOfOrder() (uint64, bool) {
@@ -535,34 +757,11 @@ func (p *Pipeline) issueOutOfOrder() (uint64, bool) {
 			kept = append(kept, slot)
 			continue
 		}
-		pool, lat, occ := p.fuFor(en)
-		unit := -1
-		for u := range pool {
-			if pool[u] <= p.cycle {
-				unit = u
-				break
-			}
-		}
-		if unit < 0 {
+		if !p.issueEntry(slot, en) {
 			kept = append(kept, slot)
 			continue
 		}
-		pool[unit] = p.cycle + uint64(occ)
-		if en.isMem && !en.wrongPath {
-			p.accessDCache(en)
-		}
-		if en.inst.Class == isa.Load {
-			lat = p.loadLatency(en)
-		}
-		if lat < 1 {
-			lat = 1
-		}
-		en.state = stateIssued
-		en.completeAt = p.cycle + uint64(lat)
-		p.scheduleCompletion(slot, en)
 		issued++
-		p.res.Act.Issued++
-		p.countFUOp(en.inst.Class)
 	}
 	p.ready = kept
 	return issued, sawReady
@@ -574,8 +773,12 @@ func (p *Pipeline) issueOutOfOrder() (uint64, bool) {
 // (so a zero-issue cycle can be attributed to operands vs units).
 func (p *Pipeline) issueInOrder() (uint64, bool) {
 	issued := uint64(0)
+	si := p.ruuHead
 	for i := 0; i < p.ruuLen && issued < uint64(p.cfg.IssueWidth); i++ {
-		slot := int32((p.ruuHead + i) % p.cfg.RUUSize)
+		slot := int32(si)
+		if si++; si == p.cfg.RUUSize {
+			si = 0
+		}
 		en := &p.ruu[slot]
 		switch en.state {
 		case stateIssued, stateDone:
@@ -583,43 +786,52 @@ func (p *Pipeline) issueInOrder() (uint64, bool) {
 		case stateWaiting:
 			return issued, false
 		}
-		pool, lat, occ := p.fuFor(en)
-		unit := -1
-		for u := range pool {
-			if pool[u] <= p.cycle {
-				unit = u
-				break
-			}
-		}
-		if unit < 0 {
+		if !p.issueEntry(slot, en) {
 			return issued, true // structural hazard stalls issue in order
 		}
-		pool[unit] = p.cycle + uint64(occ)
-		if en.isMem && !en.wrongPath {
-			p.accessDCache(en)
-		}
-		if en.inst.Class == isa.Load {
-			lat = p.loadLatency(en)
-		}
-		if lat < 1 {
-			lat = 1
-		}
-		en.state = stateIssued
-		en.completeAt = p.cycle + uint64(lat)
-		p.scheduleCompletion(slot, en)
 		issued++
-		p.res.Act.Issued++
-		p.countFUOp(en.inst.Class)
 	}
 	// Reaching here with zero issues means every in-flight entry was
 	// already executing or complete — nothing was ready.
 	return issued, false
 }
 
-// fuFor maps an entry to its functional-unit pool, result latency and
+// issueEntry issues a ready entry if a unit of its pool is free this
+// cycle, reporting whether it did.
+func (p *Pipeline) issueEntry(slot int32, en *ruuEntry) bool {
+	pool, lat, occ := p.fuFor(en.class)
+	unit := -1
+	for u := range pool {
+		if pool[u] <= p.cycle {
+			unit = u
+			break
+		}
+	}
+	if unit < 0 {
+		return false
+	}
+	pool[unit] = p.cycle + uint64(occ)
+	if en.isMem && !en.wrongPath {
+		p.accessDCache(en)
+	}
+	if en.class == isa.Load {
+		// Wrong-path loads and perfect caches leave dMiss zero: an L1 hit.
+		lat = p.loadLat[en.dMiss]
+	}
+	if lat < 1 {
+		lat = 1
+	}
+	en.state = stateIssued
+	en.completeAt = p.cycle + uint64(lat)
+	p.scheduleCompletion(slot, en)
+	p.res.Act.Issued++
+	p.countFUOp(en.class)
+	return true
+}
+
+// fuFor maps a class to its functional-unit pool, result latency and
 // unit occupancy (latency for non-pipelined units, 1 otherwise).
-func (p *Pipeline) fuFor(en *ruuEntry) (pool []uint64, lat, occ int) {
-	c := en.inst.Class
+func (p *Pipeline) fuFor(c isa.Class) (pool []uint64, lat, occ int) {
 	lat = c.Latency()
 	occ = 1
 	switch c {
@@ -670,46 +882,38 @@ func (p *Pipeline) accessDCache(en *ruuEntry) {
 	if p.cfg.PerfectCaches {
 		return
 	}
-	var l1, l2, tlb bool
+	var m uint8
 	if p.dHier != nil {
-		r := p.dHier.AccessD(en.inst.EffAddr)
-		l1, l2, tlb = r.L1Miss, r.L2Miss, r.TLBMiss
+		r := p.dHier.AccessD(en.effAddr)
+		m = missIndex(r.L1Miss, r.L2Miss, r.TLBMiss)
 	} else {
-		l1 = en.inst.Flags.Has(trace.FlagL1DMiss)
-		l2 = en.inst.Flags.Has(trace.FlagL2DMiss)
-		tlb = en.inst.Flags.Has(trace.FlagDTLBMiss)
+		m = dFlagMiss(en.flags)
 	}
-	if l1 {
+	if m&missL1 != 0 {
 		p.res.Cache.L1DMisses++
 		p.res.Act.L2Accesses++
-		if l2 {
+		if m&missL2 != 0 {
 			p.res.Cache.L2DMisses++
 		}
 	}
-	if tlb {
+	if m&missTLB != 0 {
 		p.res.Cache.DTLBMisses++
 	}
-	en.dL1, en.dL2, en.dTLB = l1, l2, tlb
-}
-
-// loadLatency returns the access latency of a load given its locality
-// events; wrong-path loads are charged an L1 hit (they do not touch the
-// caches, per §2.3).
-func (p *Pipeline) loadLatency(en *ruuEntry) int {
-	if p.cfg.PerfectCaches || en.wrongPath {
-		return p.cfg.Hier.L1D.Latency
-	}
-	return p.cfg.Hier.LoadLatency(en.dL1, en.dL2, en.dTLB)
+	en.dMiss = m
 }
 
 // ------------------------------------------------------------- writeback
 
-func (p *Pipeline) writeback() {
-	idx := p.cycle % uint64(len(p.wheel))
-	completing := p.wheel[idx]
-	if len(completing) == 0 {
-		return
+// writeback completes the entries due this cycle and reports whether
+// the cycle's wheel slot held any.
+func (p *Pipeline) writeback() bool {
+	idx := p.cycle & p.wheelMask
+	bit := uint64(1) << (idx & 63)
+	if p.wheelBits[idx>>6]&bit == 0 {
+		return false
 	}
+	p.wheelBits[idx>>6] &^= bit
+	completing := p.wheel[idx]
 	p.wheel[idx] = completing[:0]
 	for _, ref := range completing {
 		en := &p.ruu[ref.slot]
@@ -732,7 +936,7 @@ func (p *Pipeline) writeback() {
 		}
 		en.waiters = en.waiters[:0]
 
-		if en.inst.Class.IsBranch() && !en.wrongPath && en.outcome.Mispredicted {
+		if en.class.IsBranch() && !en.wrongPath && en.outcome.Mispredicted {
 			// At most one unresolved correct-path misprediction can be
 			// in flight, so a single recovery per cycle suffices; any
 			// same-cycle completions of now-squashed entries are
@@ -740,6 +944,7 @@ func (p *Pipeline) writeback() {
 			p.recover(ref.slot)
 		}
 	}
+	return true
 }
 
 // recover squashes everything younger than the mispredicted branch in
@@ -748,7 +953,11 @@ func (p *Pipeline) writeback() {
 func (p *Pipeline) recover(branchSlot int32) {
 	branch := &p.ruu[branchSlot]
 	for p.ruuLen > 0 {
-		slot := int32((p.ruuHead + p.ruuLen - 1) % p.cfg.RUUSize)
+		si := p.ruuHead + p.ruuLen - 1
+		if si >= p.cfg.RUUSize {
+			si -= p.cfg.RUUSize
+		}
+		slot := int32(si)
 		if slot == branchSlot {
 			break
 		}
@@ -772,22 +981,27 @@ func (p *Pipeline) recover(branchSlot int32) {
 
 // ---------------------------------------------------------------- commit
 
-func (p *Pipeline) commit() {
-	committed := uint64(0)
-	defer func() {
-		if committed == 0 {
-			if p.ruuLen == 0 {
-				p.res.Pipe.Stall.CommitEmptyRUU++
-			} else {
-				p.res.Pipe.Stall.CommitOldestNotDone++
-			}
+// commit retires completed instructions in order and returns how many
+// it retired.
+func (p *Pipeline) commit() uint64 {
+	committed := p.commitInsts()
+	if committed == 0 {
+		if p.ruuLen == 0 {
+			p.stall(stageCommit, &p.res.Pipe.Stall.CommitEmptyRUU)
+		} else {
+			p.stall(stageCommit, &p.res.Pipe.Stall.CommitOldestNotDone)
 		}
-		p.res.Pipe.Commit.observe(committed)
-	}()
+	}
+	p.res.Pipe.Commit.observe(committed)
+	return committed
+}
+
+func (p *Pipeline) commitInsts() uint64 {
+	committed := uint64(0)
 	for n := 0; n < p.cfg.CommitWidth && p.ruuLen > 0; n++ {
 		en := &p.ruu[p.ruuHead]
 		if en.state != stateDone {
-			return
+			break
 		}
 		if en.wrongPath {
 			panic("cpu: wrong-path instruction reached commit")
@@ -795,9 +1009,9 @@ func (p *Pipeline) commit() {
 		if en.isMem {
 			p.lsqLen--
 		}
-		if en.inst.Class.IsBranch() {
+		if en.class.IsBranch() {
 			p.res.Branch.Branches++
-			if en.inst.Taken {
+			if en.taken {
 				p.res.Branch.Taken++
 			}
 			if en.outcome.Mispredicted {
@@ -809,13 +1023,15 @@ func (p *Pipeline) commit() {
 		}
 		en.active = false
 		en.gen++
-		p.ruuHead = (p.ruuHead + 1) % p.cfg.RUUSize
+		if p.ruuHead++; p.ruuHead == p.cfg.RUUSize {
+			p.ruuHead = 0
+		}
 		p.ruuLen--
 		committed++
 		p.res.Instructions++
 		p.res.Act.Committed++
 		if p.res.Instructions%8192 == 0 {
-			p.sbuf.release(en.pos + 1)
+			p.cur.Release(en.pos + 1)
 		}
 		if p.warmLeft > 0 {
 			p.warmLeft--
@@ -828,4 +1044,5 @@ func (p *Pipeline) commit() {
 			}
 		}
 	}
+	return committed
 }

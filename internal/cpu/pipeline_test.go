@@ -409,3 +409,66 @@ func TestDepBeyondWindowIsReady(t *testing.T) {
 		t.Errorf("beyond-window deps should not serialise: IPC %.2f", ipc)
 	}
 }
+
+// TestDepTableCoversHugeRUU: a wrong path longer than 4096 entries must
+// not evict the dependency record of an older producer that is still
+// executing. Two chains of L2-missing loads head the stream; the second
+// feeds a mispredicted branch, so the window fills with wrong-path
+// filler while the first chain is still in flight. After recovery, a
+// load that depends on the first chain's last load must wait for it —
+// so a larger RUU cannot finish sooner, whatever it holds on the wrong
+// path.
+func TestDepTableCoversHugeRUU(t *testing.T) {
+	miss := trace.FlagL1DMiss | trace.FlagL2DMiss | trace.FlagDTLBMiss
+	specs := []instSpec{
+		{class: isa.Load, flags: miss}, // first chain: positions 0..4
+		{class: isa.Load, flags: miss, dep: 1},
+		{class: isa.Load, flags: miss, dep: 1},
+		{class: isa.Load, flags: miss, dep: 1},
+		{class: isa.Load, flags: miss, dep: 1},
+		{class: isa.Load, flags: miss}, // second chain: positions 5..7
+		{class: isa.Load, flags: miss, dep: 1},
+		{class: isa.Load, flags: miss, dep: 1},
+		{class: isa.IntBranch, dep: 1, flags: trace.FlagBrMispredict},
+		{class: isa.Load, flags: miss, dep: 5}, // consumer of position 4
+	}
+	for len(specs) < 12_000 {
+		specs = append(specs, instSpec{class: isa.IntALU})
+	}
+	insts := mkStream(specs)
+	cycles := func(ruu int) uint64 {
+		cfg := DefaultConfig()
+		cfg.RUUSize = ruu
+		return runTrace(t, cfg, insts).Cycles
+	}
+	small, large := cycles(4096), cycles(8192)
+	if large != small {
+		t.Errorf("RUU 8192 took %d cycles, RUU 4096 %d: the consumer issued before its producer completed", large, small)
+	}
+	t.Logf("RUU 4096: %d cycles, RUU 8192: %d cycles", small, large)
+}
+
+// TestFlagMissFollowsFlagLayout pins the bit layout the flag-to-miss-
+// index conversion relies on.
+func TestFlagMissFollowsFlagLayout(t *testing.T) {
+	for m := range missCombos {
+		l1, l2, tlb := m&missL1 != 0, m&missL2 != 0, m&missTLB != 0
+		var fi, fd trace.Flags
+		if l1 {
+			fi, fd = fi|trace.FlagL1IMiss, fd|trace.FlagL1DMiss
+		}
+		if l2 {
+			fi, fd = fi|trace.FlagL2IMiss, fd|trace.FlagL2DMiss
+		}
+		if tlb {
+			fi, fd = fi|trace.FlagITLBMiss, fd|trace.FlagDTLBMiss
+		}
+		other := trace.FlagBrMispredict | trace.FlagBrFetchRedirect
+		if got, want := iFlagMiss(fi|fd|other), missIndex(l1, l2, tlb); got != want {
+			t.Errorf("I-side flags %#x: miss index %d, want %d", fi, got, want)
+		}
+		if got, want := dFlagMiss(fi|fd|other), missIndex(l1, l2, tlb); got != want {
+			t.Errorf("D-side flags %#x: miss index %d, want %d", fd, got, want)
+		}
+	}
+}

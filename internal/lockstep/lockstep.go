@@ -18,13 +18,14 @@
 // per-point loop by construction; the differential and fuzz suites in
 // this package enforce it empirically.
 //
-// Scheduling: instances share one trace.Spool. Each round the driver
-// picks the instance with the lowest fetch target and advances it by
-// one chunk (trace.DefaultBatchSize), so targets never spread further
-// than a chunk apart and the spool window stays a few chunks wide —
-// every instance reads the same cache-resident bytes while per-instance
-// state (pipeline windows, per-instance scheduling slices) is advanced
-// in a tight loop over the delivered batch.
+// Scheduling: instances share one trace.Spool and read it in place,
+// each through its own cursor. Each round the driver picks the instance
+// with the lowest fetch target and advances it by one chunk
+// (trace.DefaultBatchSize), so targets never spread further than a
+// chunk apart and every instance reads the same cache-resident bytes.
+// Each pipeline releases the stream as it commits, and the spool drops
+// what lies below every open cursor's release point, so the window
+// stays a few chunks wide without any trimming by the driver.
 package lockstep
 
 import (
@@ -35,8 +36,7 @@ import (
 // Simulate runs one trace-driven pipeline per configuration over a
 // single generation pass of src, in lockstep, and returns the per-
 // configuration results in input order. A batch of one degrades to
-// exactly the serial path (cpu.NewTraceDriven(...).Run()), with no
-// spool in between.
+// exactly the serial path (cpu.NewTraceDriven(...).Run()).
 func Simulate(cfgs []cpu.Config, src trace.Source) []cpu.Result {
 	n := len(cfgs)
 	switch n {
@@ -51,7 +51,7 @@ func Simulate(cfgs []cpu.Config, src trace.Source) []cpu.Result {
 	curs := make([]*trace.Cursor, n)
 	for i := range cfgs {
 		curs[i] = sp.NewCursor()
-		pipes[i] = cpu.NewTraceDriven(cfgs[i], curs[i])
+		pipes[i] = cpu.NewTraceDrivenCursor(cfgs[i], curs[i])
 	}
 
 	// Per-instance scheduling state, struct-of-arrays: the selection
@@ -81,7 +81,6 @@ func Simulate(cfgs []cpu.Config, src trace.Source) []cpu.Result {
 		} else {
 			target[best] += stride
 		}
-		sp.Trim()
 	}
 	return results
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package cpu
+package trace
 
 const raceEnabled = false

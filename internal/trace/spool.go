@@ -1,21 +1,25 @@
 package trace
 
-// Spool materialises one BatchSource stream exactly once and serves it
-// to N independent Cursor consumers — the sharing primitive behind
+// Spool materialises one BatchSource stream exactly once into a sliding
+// window and serves it in place to N Cursor consumers — the one stream
+// buffer behind both a single pipeline's fetch (a one-cursor spool) and
 // lockstep multi-config simulation, where a single synthetic-trace
 // generation pass drives many pipeline instances.
 //
-// The spool keeps a sliding window of the stream: the frontmost cursor
-// pulls fresh chunks from the source, laggards re-read the retained
-// window, and Trim drops everything below the slowest open cursor. A
-// scheduler that advances the laggard first (internal/lockstep) keeps
-// the window a few chunks wide regardless of consumer count, so every
-// consumer reads the same cache-resident bytes.
+// Consumers read by stream position (Cursor.At) rather than by copying:
+// a pipeline rewinds to re-fetch squashed wrong-path instructions, so it
+// needs random access to everything it has not yet committed. Each
+// cursor declares how far it will never read again (Cursor.Release);
+// the window drops what lies below every open cursor's release point.
+// A scheduler that keeps the consumers within a chunk of each other
+// (internal/lockstep) therefore keeps the window a few chunks wide
+// regardless of consumer count, and every consumer reads the same
+// cache-resident bytes.
 //
 // Concurrency: a Spool and its Cursors belong to one goroutine — the
 // lockstep driver advances instances sequentially. Create every cursor
 // before the first read; cursors created after consumption has begun
-// would miss the already-trimmed prefix (NewCursor panics then).
+// would miss the already-dropped prefix (NewCursor panics then).
 type Spool struct {
 	src     BatchSource
 	base    uint64 // stream position of window[0]
@@ -30,8 +34,8 @@ func NewSpool(src Source) *Spool {
 	return &Spool{src: Batched(src)}
 }
 
-// NewCursor registers a new consumer positioned at the start of the
-// stream. All cursors must be created before any of them reads.
+// NewCursor registers a new consumer, free to read from the start of
+// the stream. All cursors must be created before any of them reads.
 func (s *Spool) NewCursor() *Cursor {
 	if s.base != 0 || len(s.window) != 0 || s.eof {
 		panic("trace: Spool.NewCursor after consumption began")
@@ -41,7 +45,8 @@ func (s *Spool) NewCursor() *Cursor {
 	return c
 }
 
-// fill extends the window by up to one chunk from the source.
+// fill extends the window by up to one chunk from the source, reading
+// in place into the window's spare capacity.
 func (s *Spool) fill() {
 	n := len(s.window)
 	if cap(s.window)-n < DefaultBatchSize {
@@ -57,17 +62,17 @@ func (s *Spool) fill() {
 	s.window = s.window[:n+k]
 }
 
-// Trim discards window entries below the slowest open cursor,
-// compacting only when a sizeable prefix is dead (amortising the copy,
-// like the pipeline's stream buffer). With every cursor closed the
-// whole window is released.
-func (s *Spool) Trim() {
+// trim discards window entries below the lowest release point of the
+// open cursors, compacting only when a sizeable prefix is dead
+// (amortising the copy). With every cursor closed the whole window is
+// released.
+func (s *Spool) trim() {
 	min, open := ^uint64(0), false
 	for _, c := range s.cursors {
 		if !c.closed {
 			open = true
-			if c.pos < min {
-				min = c.pos
+			if c.release < min {
+				min = c.release
 			}
 		}
 	}
@@ -90,65 +95,61 @@ func (s *Spool) Trim() {
 }
 
 // WindowLen reports the retained window size in instructions
-// (observability and tests; the lockstep scheduler keeps it small).
+// (observability and tests; release-point trimming keeps it small).
 func (s *Spool) WindowLen() int { return len(s.window) }
 
-// Cursor is one consumer's monotone position into a Spool. It
-// implements both trace.Source and trace.BatchSource, so it plugs
-// directly into the pipeline's stream buffer (whose Batched adapter
-// collapses to the cursor itself).
+// Cursor is one consumer's view of a Spool: random access by stream
+// position at or above its release point.
 type Cursor struct {
-	sp     *Spool
-	pos    uint64
-	closed bool
+	sp      *Spool
+	release uint64 // the consumer never reads below this position again
+	closed  bool
 }
 
-// NextBatch implements BatchSource: it copies from the shared window,
-// pulling fresh chunks from the source only when this cursor is at the
-// frontier. EOF (return 0) is sticky, per the BatchSource contract.
-func (c *Cursor) NextBatch(dst []DynInst) int {
+// At returns the instruction at stream position pos, pulling chunks
+// from the source as needed, or nil once the stream ends before pos
+// (EOF is sticky: the source is not consulted again). pos must not be
+// below the cursor's release point. The record is read in place: it
+// stays valid until the next Release or Close on any cursor of the
+// spool, and must not be modified.
+func (c *Cursor) At(pos uint64) *DynInst {
+	if w := c.sp.window; pos >= c.release && pos-c.sp.base < uint64(len(w)) {
+		return &w[pos-c.sp.base]
+	}
+	return c.at(pos)
+}
+
+// at is At's slow path: argument checks and refills.
+func (c *Cursor) at(pos uint64) *DynInst {
+	if c.closed {
+		panic("trace: Cursor read after Close")
+	}
+	if pos < c.release {
+		panic("trace: Cursor read below its release point")
+	}
 	s := c.sp
-	for c.pos >= s.base+uint64(len(s.window)) {
+	for pos >= s.base+uint64(len(s.window)) {
 		if s.eof {
-			return 0
+			return nil
 		}
 		s.fill()
 	}
-	if c.pos < s.base {
-		panic("trace: Cursor read below the trimmed window")
-	}
-	n := copy(dst, s.window[c.pos-s.base:])
-	c.pos += uint64(n)
-	return n
+	return &s.window[pos-s.base]
 }
 
-// Next implements Source for per-instruction consumers.
-func (c *Cursor) Next(out *DynInst) bool {
-	s := c.sp
-	for c.pos >= s.base+uint64(len(s.window)) {
-		if s.eof {
-			return false
-		}
-		s.fill()
+// Release declares that this consumer will never read below stream
+// position pos again, letting the spool drop what no open cursor still
+// needs. Releasing at or below an earlier release point is a no-op.
+func (c *Cursor) Release(pos uint64) {
+	if pos <= c.release {
+		return
 	}
-	if c.pos < s.base {
-		panic("trace: Cursor read below the trimmed window")
-	}
-	*out = s.window[c.pos-s.base]
-	c.pos++
-	return true
+	c.release = pos
+	c.sp.trim()
 }
-
-// Pos reports the cursor's stream position (instructions consumed).
-func (c *Cursor) Pos() uint64 { return c.pos }
 
 // Close marks the cursor done so it no longer pins the window.
 func (c *Cursor) Close() {
 	c.closed = true
-	c.sp.Trim()
+	c.sp.trim()
 }
-
-var (
-	_ Source      = (*Cursor)(nil)
-	_ BatchSource = (*Cursor)(nil)
-)

@@ -2,15 +2,21 @@ package trace
 
 import "testing"
 
-// drainCursor reads a cursor to EOF in batches, verifying the canonical
+// drainCursor reads a cursor in place to EOF, verifying the canonical
 // sequence and the sticky-EOF contract.
 func drainCursor(t *testing.T, c *Cursor, want int) {
 	t.Helper()
-	got := Collect(Unbatched(c), 0)
+	var got []DynInst
+	for pos := uint64(0); ; pos++ {
+		d := c.At(pos)
+		if d == nil {
+			break
+		}
+		got = append(got, *d)
+	}
 	checkStream(t, got, want)
-	var buf [4]DynInst
-	if n := c.NextBatch(buf[:]); n != 0 {
-		t.Fatalf("NextBatch after EOF returned %d, want sticky 0", n)
+	if d := c.At(uint64(want)); d != nil {
+		t.Fatalf("At(%d) after EOF returned %+v, want sticky nil", want, d)
 	}
 }
 
@@ -22,33 +28,35 @@ func TestSpoolSingleCursor(t *testing.T) {
 }
 
 // TestSpoolCursorsSeeIdenticalStreams: every cursor observes the full
-// canonical sequence regardless of how reads interleave.
+// canonical sequence regardless of how reads and releases interleave.
 func TestSpoolCursorsSeeIdenticalStreams(t *testing.T) {
 	const n = 5*DefaultBatchSize + 13
 	sp := NewSpool(NewSliceSource(seqInsts(n)))
-	a, b, c := sp.NewCursor(), sp.NewCursor(), sp.NewCursor()
+	curs := []*Cursor{sp.NewCursor(), sp.NewCursor(), sp.NewCursor()}
 
-	// a sprints ahead, b follows in odd-sized batches, c reads one
-	// instruction at a time.
+	// a sprints ahead a chunk at a time, b follows in odd-sized steps,
+	// c reads one instruction at a time and re-reads each one it
+	// releases up to, as a rewinding pipeline would.
+	steps := []uint64{DefaultBatchSize, 97, 1}
 	var got [3][]DynInst
-	buf := make([]DynInst, DefaultBatchSize)
-	small := make([]DynInst, 97)
-	var one DynInst
+	var pos [3]uint64
 	for {
 		moved := false
-		if k := a.NextBatch(buf); k > 0 {
-			got[0] = append(got[0], buf[:k]...)
-			moved = true
+		for i, c := range curs {
+			for k := uint64(0); k < steps[i]; k++ {
+				d := c.At(pos[i])
+				if d == nil {
+					break
+				}
+				if i == 2 && c.At(pos[i]) != d {
+					t.Fatal("re-read of one position returned a different record")
+				}
+				got[i] = append(got[i], *d)
+				pos[i]++
+				moved = true
+			}
+			c.Release(pos[i] - pos[i]%500)
 		}
-		if k := b.NextBatch(small); k > 0 {
-			got[1] = append(got[1], small[:k]...)
-			moved = true
-		}
-		for i := 0; i < 50 && c.Next(&one); i++ {
-			got[2] = append(got[2], one)
-			moved = true
-		}
-		sp.Trim()
 		if !moved {
 			break
 		}
@@ -58,32 +66,37 @@ func TestSpoolCursorsSeeIdenticalStreams(t *testing.T) {
 	}
 }
 
-// TestSpoolTrimBoundsWindow: with laggard-first scheduling the window
-// must stay within a couple of chunks plus the trim hysteresis, no
-// matter how long the stream is.
+// TestSpoolTrimBoundsWindow: with laggard-first scheduling and prompt
+// releases the window must stay within a couple of chunks plus the trim
+// hysteresis, no matter how long the stream is.
 func TestSpoolTrimBoundsWindow(t *testing.T) {
 	const n = 40 * DefaultBatchSize
 	sp := NewSpool(NewSliceSource(seqInsts(n)))
 	curs := []*Cursor{sp.NewCursor(), sp.NewCursor(), sp.NewCursor()}
-	buf := make([]DynInst, DefaultBatchSize)
+	pos := make([]uint64, len(curs))
 	maxWindow := 0
 	for {
-		// Advance the laggard, as the lockstep driver does.
-		lag := curs[0]
-		for _, c := range curs[1:] {
-			if c.Pos() < lag.Pos() {
-				lag = c
+		// Advance the laggard by one chunk, as the lockstep driver does.
+		lag := 0
+		for i := range curs {
+			if pos[i] < pos[lag] {
+				lag = i
 			}
 		}
-		if lag.NextBatch(buf) == 0 {
+		if curs[lag].At(pos[lag]) == nil {
 			break
 		}
-		sp.Trim()
+		for end := pos[lag] + DefaultBatchSize; pos[lag] < end; pos[lag]++ {
+			if curs[lag].At(pos[lag]) == nil {
+				break
+			}
+		}
+		curs[lag].Release(pos[lag])
 		if w := sp.WindowLen(); w > maxWindow {
 			maxWindow = w
 		}
 	}
-	// Trim compacts once the dead prefix reaches 4096; the live spread
+	// The spool compacts once the dead prefix reaches 4096; the live spread
 	// under laggard-first scheduling is at most one chunk.
 	if limit := 4096 + 2*DefaultBatchSize; maxWindow > limit {
 		t.Fatalf("window grew to %d instructions, want <= %d", maxWindow, limit)
@@ -95,9 +108,9 @@ func TestSpoolTrimBoundsWindow(t *testing.T) {
 func TestSpoolCloseReleasesWindow(t *testing.T) {
 	sp := NewSpool(NewSliceSource(seqInsts(4 * DefaultBatchSize)))
 	a, b := sp.NewCursor(), sp.NewCursor()
-	buf := make([]DynInst, DefaultBatchSize)
-	a.NextBatch(buf)
-	b.NextBatch(buf[:7]) // b stays mid-window, pinning the rest of the chunk
+	a.At(DefaultBatchSize - 1)
+	a.Release(DefaultBatchSize)
+	b.Release(7) // b stays mid-window, pinning the rest of the chunk
 	a.Close()
 	if sp.WindowLen() == 0 {
 		t.Fatal("window released while an open cursor still has unread data")
@@ -109,12 +122,11 @@ func TestSpoolCloseReleasesWindow(t *testing.T) {
 }
 
 // TestSpoolLateCursorPanics: registering a consumer after consumption
-// began would silently miss trimmed data, so it must panic instead.
+// began would silently miss dropped data, so it must panic instead.
 func TestSpoolLateCursorPanics(t *testing.T) {
 	sp := NewSpool(NewSliceSource(seqInsts(DefaultBatchSize)))
 	c := sp.NewCursor()
-	var buf [8]DynInst
-	c.NextBatch(buf[:])
+	c.At(7)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewCursor after consumption began did not panic")
@@ -123,16 +135,14 @@ func TestSpoolLateCursorPanics(t *testing.T) {
 	sp.NewCursor()
 }
 
-// TestSpoolEmptySource: EOF before any data, for every read style.
+// TestSpoolEmptySource: EOF before any data.
 func TestSpoolEmptySource(t *testing.T) {
 	sp := NewSpool(NewSliceSource(nil))
 	c := sp.NewCursor()
-	var one DynInst
-	if c.Next(&one) {
-		t.Fatal("Next on empty source returned true")
+	if d := c.At(0); d != nil {
+		t.Fatalf("At(0) on empty source returned %+v", d)
 	}
-	var buf [8]DynInst
-	if n := c.NextBatch(buf[:]); n != 0 {
-		t.Fatalf("NextBatch on empty source returned %d", n)
+	if d := c.At(0); d != nil {
+		t.Fatalf("At(0) after EOF returned %+v", d)
 	}
 }
