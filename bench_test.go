@@ -111,63 +111,6 @@ func BenchmarkExecutionDriven(b *testing.B) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 }
 
-// BenchmarkTraceDriven measures the synthetic-trace simulator's speed.
-func BenchmarkTraceDriven(b *testing.B) {
-	w, _ := LoadWorkload("gzip")
-	cfg := DefaultConfig()
-	g, err := Profile(cfg, w.Stream(1, 0, 100_000), ProfileOptions{K: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := NewSyntheticTrace(g, 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	insts := trace.Collect(src, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SimulateTrace(cfg, trace.NewSliceSource(insts))
-	}
-	b.ReportMetric(float64(len(insts))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
-}
-
-// BenchmarkProfiling measures statistical profiling speed.
-func BenchmarkProfiling(b *testing.B) {
-	w, _ := LoadWorkload("gzip")
-	cfg := DefaultConfig()
-	const n = 100_000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Profile(cfg, w.Stream(1, 0, n), ProfileOptions{K: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
-}
-
-// BenchmarkSyntheticGeneration measures trace-generation speed alone.
-func BenchmarkSyntheticGeneration(b *testing.B) {
-	w, _ := LoadWorkload("gzip")
-	cfg := DefaultConfig()
-	g, err := Profile(cfg, w.Stream(1, 0, 100_000), ProfileOptions{K: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var total uint64
-	for i := 0; i < b.N; i++ {
-		src, err := NewSyntheticTrace(g, 2, uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var d trace.DynInst
-		for src.Next(&d) {
-			total++
-		}
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "inst/s")
-}
-
 // BenchmarkFunctionalExecution measures the workload executor's speed.
 func BenchmarkFunctionalExecution(b *testing.B) {
 	w, _ := LoadWorkload("gzip")

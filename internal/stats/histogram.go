@@ -187,6 +187,21 @@ func (h *Histogram) Freeze() {
 	}
 }
 
+// ContainsFunc reports whether some value Sample can return — a value
+// with a non-zero count — satisfies f. It visits those values in
+// increasing order, stops at the first that does, and reads them from
+// the sampling cache in place: like Sample, it builds the cache if the
+// histogram is not frozen, and it never writes once it is.
+func (h *Histogram) ContainsFunc(f func(v int) bool) bool {
+	h.Freeze()
+	for _, e := range h.entries {
+		if f(int(e.val)) {
+			return true
+		}
+	}
+	return false
+}
+
 // Quantile returns the smallest value v such that at least fraction q of
 // the mass lies at or below v. q is clamped to [0,1].
 func (h *Histogram) Quantile(q float64) int {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -71,6 +72,46 @@ func TestHistogramSampleOnlyReturnsObservedValues(t *testing.T) {
 	ratio := float64(seen[7]) / float64(seen[3])
 	if ratio < 2.4 || ratio > 3.6 {
 		t.Errorf("mass ratio %.2f, want ~3", ratio)
+	}
+}
+
+// TestHistogramContainsFunc pins ContainsFunc to the values Sample can
+// return: it visits exactly the non-empty values, clamped, in
+// increasing order, stops at the first match, and follows later
+// mutation.
+func TestHistogramContainsFunc(t *testing.T) {
+	support := func(h *Histogram) []int {
+		var vs []int
+		h.ContainsFunc(func(v int) bool { vs = append(vs, v); return false })
+		return vs
+	}
+	h := NewHistogram(16)
+	if vs := support(h); vs != nil {
+		t.Fatalf("empty histogram visits %v, want none", vs)
+	}
+	h.AddN(7, 30)
+	h.AddN(3, 10)
+	h.Add(99) // clamped to 16
+	if got, want := fmt.Sprint(support(h)), "[3 7 16]"; got != want {
+		t.Fatalf("visited %s, want %s", got, want)
+	}
+	r := NewRNG(2)
+	for i := 0; i < 4000; i++ {
+		v := h.Sample(r.Float64())
+		if !h.ContainsFunc(func(s int) bool { return s == v }) {
+			t.Fatalf("Sample returned %d, which ContainsFunc never visits", v)
+		}
+	}
+	visits := 0
+	if !h.ContainsFunc(func(v int) bool { visits++; return v == 7 }) || visits != 2 {
+		t.Fatalf("match on 7: %d visits, want 2 and true", visits)
+	}
+	if h.ContainsFunc(func(v int) bool { return v > 16 }) {
+		t.Fatal("ContainsFunc matched a value above Max")
+	}
+	h.Add(1)
+	if got, want := fmt.Sprint(support(h)), "[1 3 7 16]"; got != want {
+		t.Fatalf("visited after Add %s, want %s", got, want)
 	}
 }
 

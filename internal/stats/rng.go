@@ -65,6 +65,23 @@ func (r *RNG) Uint64() uint64 {
 	return x
 }
 
+// Skip advances the generator by n steps: it leaves r in exactly the
+// state n Uint64 calls would (each Float64 and Intn call is one step),
+// without computing the discarded outputs.
+func (r *RNG) Skip(n int) {
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for ; n > 0; n-- {
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = s3<<45 | s3>>19
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+}
+
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

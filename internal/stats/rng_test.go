@@ -115,3 +115,23 @@ func TestRNGSeedsNeverAllZeroState(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRNGSkip pins Skip(n) to n Uint64 calls: the same state, hence
+// the same stream afterwards.
+func TestRNGSkip(t *testing.T) {
+	for _, n := range []int{0, 1, 999, 1000} {
+		for seed := uint64(0); seed < 4; seed++ {
+			skipped, drawn := NewRNG(seed), NewRNG(seed)
+			skipped.Skip(n)
+			for i := 0; i < n; i++ {
+				drawn.Uint64()
+			}
+			if *skipped != *drawn {
+				t.Fatalf("seed %d: Skip(%d) state differs from %d Uint64 calls", seed, n, n)
+			}
+			if a, b := skipped.Uint64(), drawn.Uint64(); a != b {
+				t.Fatalf("seed %d: after Skip(%d) next draw %#x, want %#x", seed, n, a, b)
+			}
+		}
+	}
+}

@@ -23,10 +23,6 @@ type Options struct {
 	// Seed drives all stochastic choices; different seeds yield
 	// different traces from the same profile (used by the CoV study).
 	Seed uint64
-	// MaxDepRetries bounds the §2.2-step-4 rejection loop that avoids
-	// making an instruction depend on a branch or store (default 1,000,
-	// as in the paper; the dependency is squashed when exhausted).
-	MaxDepRetries int
 	// EdgeAverageLocality assigns locality events from the paper's
 	// literal per-edge aggregate rates instead of the slot-resolved
 	// rates this implementation defaults to. Kept as an ablation: with
@@ -41,13 +37,6 @@ type Options struct {
 	// re-profiling — the extension the paper's §2.1.2 pragmatics trade
 	// away.
 	SyntheticAddresses bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxDepRetries == 0 {
-		o.MaxDepRetries = 1000
-	}
-	return o
 }
 
 // Reduced is a reduced statistical flow graph: node occurrences divided
@@ -75,7 +64,6 @@ type Reduced struct {
 
 // Reduce builds the reduced graph for the given options.
 func Reduce(g *sfg.Graph, opts Options) (*Reduced, error) {
-	opts = opts.withDefaults()
 	if opts.R == 0 {
 		return nil, fmt.Errorf("synth: reduction factor R must be >= 1")
 	}
@@ -222,6 +210,12 @@ type TraceSource struct {
 }
 
 const destRing = 2048 // > MaxDependencyDistance, power of two
+
+// maxDepRetries bounds the §2.2-step-4 rejection loop that keeps an
+// instruction from depending on a branch or store: as in the paper, a
+// dependency distance is redrawn up to 1,000 times and the dependency
+// is squashed when every draw is rejected.
+const maxDepRetries = 1000
 
 // NewTrace starts a fresh stochastic walk over the reduced graph.
 func (r *Reduced) NewTrace(seed uint64) *TraceSource {
@@ -499,8 +493,14 @@ func (t *TraceSource) emitBlock(e *sfg.Edge) {
 // probability that a dynamic instance carries the dependency at all
 // (h covers only instances that did, out of count instances) and
 // applying the §2.2-step-4 rejection rule: the producer must be an
-// instruction with a register result, retried up to MaxDepRetries
+// instruction with a register result, retried up to maxDepRetries
 // times and squashed otherwise.
+//
+// Neither seq nor the hasDest window changes inside the retry loop, so
+// after the first rejection a scan of h's support decides whether any
+// draw can succeed. When none can, the remaining draws are doomed: the
+// RNG is advanced by exactly their count and the dependency squashed,
+// leaving the trace and the RNG state as the full loop would.
 func (t *TraceSource) sampleDep(h *stats.Histogram, count uint64) (uint32, bool) {
 	if h == nil || h.Total() == 0 {
 		return 0, false
@@ -508,17 +508,32 @@ func (t *TraceSource) sampleDep(h *stats.Histogram, count uint64) (uint32, bool)
 	if t.rng.Float64() >= float64(h.Total())/float64(count) {
 		return 0, false
 	}
-	for try := 0; try < t.r.opts.MaxDepRetries; try++ {
-		delta := uint64(h.Sample(t.rng.Float64()))
-		if delta > t.seq {
-			continue // before the start of the trace
-		}
-		if !t.hasDest[(t.seq-delta)%destRing] {
-			continue // would depend on a branch or store: reject
-		}
+	if delta := uint64(h.Sample(t.rng.Float64())); t.isProducer(delta) {
 		return uint32(delta), true
 	}
+	if !t.anyProducer(h) {
+		t.rng.Skip(maxDepRetries - 1)
+		return 0, false
+	}
+	for try := 1; try < maxDepRetries; try++ {
+		if delta := uint64(h.Sample(t.rng.Float64())); t.isProducer(delta) {
+			return uint32(delta), true
+		}
+	}
 	return 0, false
+}
+
+// isProducer reports whether the instruction delta back from the
+// current one exists and writes a register: a distance reaching before
+// the start of the trace, or onto a branch or store, is rejected.
+func (t *TraceSource) isProducer(delta uint64) bool {
+	return delta <= t.seq && t.hasDest[(t.seq-delta)%destRing]
+}
+
+// anyProducer reports whether some value in h's support is a producer
+// distance at the current instruction.
+func (t *TraceSource) anyProducer(h *stats.Histogram) bool {
+	return h.ContainsFunc(func(v int) bool { return t.isProducer(uint64(v)) })
 }
 
 // bernoulli draws true with probability num/den.

@@ -2,6 +2,7 @@ package statsim
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/sfg"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 // The kernel corpus pins the timing kernel's whole output, not just the
@@ -168,46 +170,125 @@ func kernelPath(workload string) string {
 func TestKernelCorpus(t *testing.T) {
 	for _, w := range Workloads() {
 		t.Run(w.Name, func(t *testing.T) {
-			got := kernelCells(t, w)
-			path := kernelPath(w.Name)
-			if *updateGolden {
-				data, err := json.MarshalIndent(got, "", "  ")
+			checkHashCorpus(t, kernelPath(w.Name), w.Name, "kernel", kernelCells(t, w))
+		})
+	}
+}
+
+// The trace corpus pins synthetic-trace generation byte for byte, below
+// the kernel: every cell stores a SHA-256 of the generated
+// trace.DynInst stream, each instruction's fields little-endian in
+// declaration order (encoding/binary). A change to reduction, the
+// random walk, dependency sampling (and how many variates it draws),
+// locality assignment or address synthesis that moves any bit of any
+// instruction fails here and names the cell. It shares -update with
+// the golden and kernel corpora.
+const traceProfileN = 200_000
+
+var (
+	traceTargets = []uint64{10_000, 40_000}
+	traceSeeds   = []uint64{1, 2}
+	traceModes   = []struct {
+		name string
+		opts synth.Options // R is set per target
+	}{
+		{"default", synth.Options{}},
+		{"edge-avg", synth.Options{EdgeAverageLocality: true}},
+		{"synth-addr", synth.Options{SyntheticAddresses: true}},
+	}
+)
+
+// traceCells generates one workload's traces at k=0..2 for every
+// (target, locality mode, seed) and returns the hash of each stream.
+func traceCells(t *testing.T, w Workload) map[string]string {
+	t.Helper()
+	cells := map[string]string{}
+	buf := make([]trace.DynInst, 1024)
+	for k := 0; k <= 2; k++ {
+		g, err := core.Profile(cpu.DefaultConfig(), w.Stream(kernelSeed, 0, traceProfileN), core.ProfileOptions{K: k})
+		if err != nil {
+			t.Fatalf("%s k=%d: profile: %v", w.Name, k, err)
+		}
+		for _, target := range traceTargets {
+			r := core.ReductionFor(g, target)
+			for _, m := range traceModes {
+				opts := m.opts
+				opts.R = r
+				red, err := synth.Reduce(g, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing kernel corpus file (run with -update to create): %v", err)
-			}
-			var want map[string]string
-			if err := json.Unmarshal(raw, &want); err != nil {
-				t.Fatalf("corrupt kernel corpus file %s: %v", path, err)
-			}
-			keys := make([]string, 0, len(want))
-			for k := range want {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				h, ok := got[k]
-				switch {
-				case !ok:
-					t.Errorf("%s: kernel cell %q no longer produced", w.Name, k)
-				case h != want[k]:
-					t.Errorf("%s: kernel cell %q: Result hash %s, corpus %s", w.Name, k, h, want[k])
+				for _, seed := range traceSeeds {
+					src := red.NewTrace(seed)
+					h := sha256.New()
+					for {
+						n := src.NextBatch(buf)
+						if n == 0 {
+							break
+						}
+						if err := binary.Write(h, binary.LittleEndian, buf[:n]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					cells[fmt.Sprintf("k%d/t%d/%s/seed%d", k, target, m.name, seed)] = hex.EncodeToString(h.Sum(nil))
 				}
 			}
-			if len(want) != len(got) {
-				t.Errorf("%s: kernel corpus has %d cells, test produced %d", w.Name, len(want), len(got))
-			}
+		}
+	}
+	return cells
+}
+
+// TestTraceCorpus checks every workload's generated traces against the
+// committed hashes in testdata/trace/.
+func TestTraceCorpus(t *testing.T) {
+	for _, w := range Workloads() {
+		t.Run(w.Name, func(t *testing.T) {
+			path := filepath.Join("testdata", "trace", w.Name+".json")
+			checkHashCorpus(t, path, w.Name, "trace", traceCells(t, w))
 		})
+	}
+}
+
+// checkHashCorpus compares got against the cell → hash map stored at
+// path, or rewrites the file under -update.
+func checkHashCorpus(t *testing.T, path, workload, corpus string, got map[string]string) {
+	t.Helper()
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing %s corpus file (run with -update to create): %v", corpus, err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("corrupt %s corpus file %s: %v", corpus, path, err)
+	}
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		h, ok := got[k]
+		switch {
+		case !ok:
+			t.Errorf("%s: %s cell %q no longer produced", workload, corpus, k)
+		case h != want[k]:
+			t.Errorf("%s: %s cell %q: hash %s, corpus %s", workload, corpus, k, h, want[k])
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s: %s corpus has %d cells, test produced %d", workload, corpus, len(want), len(got))
 	}
 }

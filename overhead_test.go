@@ -17,6 +17,9 @@ import (
 // points, taking the minimum of several repetitions of each so
 // scheduler noise cancels; a small absolute slack keeps the ratio
 // meaningful when a run is fast enough for timer granularity to bite.
+// The two sides' repetitions are interleaved, alternating which runs
+// first, so a burst of load from a neighbour on a shared host slows
+// both sides instead of covering every repetition of one.
 func TestObsDisabledOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -36,25 +39,31 @@ func TestObsDisabledOverhead(t *testing.T) {
 	}
 	insts := trace.Collect(src, 0)
 
-	const reps = 7
-	minTime := func(f func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
+	runPlain := func() { core.SimulateTrace(cfg, trace.NewSliceSource(insts)) }
+	runTraced := func() { core.SimulateTraceTraced(nil, cfg, trace.NewSliceSource(insts)) }
+	timed := func(f func(), best *time.Duration) {
+		start := time.Now()
+		f()
+		if d := time.Since(start); d < *best {
+			*best = d
 		}
-		return best
 	}
 
 	// Warm up both paths once so neither pays first-run costs.
-	core.SimulateTrace(cfg, trace.NewSliceSource(insts))
-	core.SimulateTraceTraced(nil, cfg, trace.NewSliceSource(insts))
+	runPlain()
+	runTraced()
 
-	plain := minTime(func() { core.SimulateTrace(cfg, trace.NewSliceSource(insts)) })
-	traced := minTime(func() { core.SimulateTraceTraced(nil, cfg, trace.NewSliceSource(insts)) })
+	const reps = 7
+	plain, traced := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < reps; i++ {
+		if i%2 == 0 {
+			timed(runPlain, &plain)
+			timed(runTraced, &traced)
+		} else {
+			timed(runTraced, &traced)
+			timed(runPlain, &plain)
+		}
+	}
 
 	// 5% relative budget plus 2ms absolute slack for timer jitter on
 	// very fast runs.
