@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -74,7 +75,8 @@ func (c *client) do(ctx context.Context, timeout time.Duration, req func(ctx con
 // fetchGraph retrieves key's graph from the peer at base. The envelope
 // CRC plus the embedded-key check validate the transfer end-to-end, so
 // a truncated or corrupted body surfaces as a retriable error here, not
-// as a bad graph downstream.
+// as a bad graph downstream. An envelope of another store version is
+// permanent: resolution moves on to the next replica or to profiling.
 func (c *client) fetchGraph(ctx context.Context, base string, key service.ProfileKey) (*sfg.Graph, error) {
 	payload, err := json.Marshal(service.ClusterFetchRequest{Key: key})
 	if err != nil {
@@ -93,6 +95,11 @@ func (c *client) fetchGraph(ctx context.Context, base string, key service.Profil
 			return err
 		}
 		_, decoded, err := service.DecodeProfileEnvelope(body, &key)
+		if errors.Is(err, service.ErrProfileVersion) {
+			// A peer on the other store format (a rolling upgrade)
+			// sends the same envelope on every attempt.
+			return service.Permanent(fmt.Errorf("envelope from %s: %w", base, err))
+		}
 		if err != nil {
 			return fmt.Errorf("envelope from %s: %w", base, err)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"log/slog"
@@ -308,6 +309,34 @@ func TestFetchGraphTruncatedEnvelopeRetried(t *testing.T) {
 	}
 	if st := c.Stats(); st.RPCRetries == 0 {
 		t.Errorf("truncated transfer was not retried: %+v", st)
+	}
+}
+
+// TestFetchGraphOlderVersionNotRetried: a peer still on an earlier
+// store version answers every attempt with the same envelope, so the
+// first one settles it — one transfer, no retries — and resolution
+// falls through with the version sentinel.
+func TestFetchGraphOlderVersionNotRetried(t *testing.T) {
+	env, err := service.EncodeProfileEnvelope(testKey, testGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(env[4:8], 1) // the envelope's version field
+	peer := newFakePeer(t)
+	peer.envelope.Store(env)
+	c := testCoordinator(t, Config{
+		Peers:       []string{peer.ts.URL},
+		Replication: 2,
+		Retry:       service.RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond},
+	})
+	if _, _, err := c.FetchGraph(context.Background(), testKey); !errors.Is(err, service.ErrProfileVersion) {
+		t.Fatalf("want ErrProfileVersion, got %v", err)
+	}
+	if n := peer.fetches.Load(); n != 1 {
+		t.Errorf("peer fetched %d times, want 1", n)
+	}
+	if st := c.Stats(); st.RPCRetries != 0 {
+		t.Errorf("version mismatch retried: %+v", st)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"os"
 )
 
 // Peer-to-peer RPC surface. These handlers speak the durable store's
@@ -100,9 +99,10 @@ func (s *Server) handleClusterOffer(w http.ResponseWriter, r *http.Request) {
 	s.cache.Put(key, g)
 	if s.store != nil {
 		// Only persist what the store does not already hold: a
-		// replicated graph is bit-identical by construction, so an
-		// existing file needs no overwrite.
-		if _, err := os.Stat(s.store.Path(key)); err != nil {
+		// replicated graph is bit-identical by construction, so a
+		// current-version file needs no overwrite. A file an earlier
+		// build wrote is a miss to Load, so the replica replaces it.
+		if !s.store.holdsCurrent(key) {
 			_ = s.store.Save(key, g)
 		}
 	}

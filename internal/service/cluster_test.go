@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,6 +161,39 @@ func TestClusterFetchOfferHandlers(t *testing.T) {
 	}
 	if svc.clusterServed.offersRejected.Load() != 1 {
 		t.Errorf("rejected offer not counted")
+	}
+}
+
+// TestClusterOfferReplacesOlderVersionFile: an offered replica skips the
+// save only when a current-version file is already stored. A file an
+// earlier build wrote is a miss to Load, so the replica replaces it.
+func TestClusterOfferReplacesOlderVersionFile(t *testing.T) {
+	svc, ts := newTestServerOpts(t, Options{Workers: 2, CacheSize: 4, JobTimeout: time.Minute, CacheDir: t.TempDir()})
+	if err := os.WriteFile(svc.store.Path(clusterTestKey), envelopeV1(t, clusterTestKey), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	env, err := EncodeProfileEnvelope(clusterTestKey, testGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/v1/cluster/offer", "application/octet-stream", bytes.NewReader(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("offer %d rejected: %d", i, resp.StatusCode)
+		}
+		// The first offer replaces the version-1 file; the second
+		// finds a current-version file and leaves it alone.
+		if got := svc.store.Stats().Saves; got != 1 {
+			t.Errorf("after offer %d: %d saves, want 1", i, got)
+		}
+	}
+	if _, err := svc.store.Load(clusterTestKey); err != nil {
+		t.Errorf("replica did not replace the version-1 file: %v", err)
 	}
 }
 

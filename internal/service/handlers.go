@@ -635,6 +635,7 @@ func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Gra
 					ri.remotePeer.Store(peer)
 				}
 				if s.store != nil {
+					g.Freeze() // see the fresh-profile Save below
 					_ = s.store.Save(key, g)
 				}
 				return g, nil
@@ -666,6 +667,12 @@ func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Gra
 		if err != nil {
 			return nil, err
 		}
+		// Freeze before the cache would: Save then encodes each
+		// dependency histogram from its few sampling entries instead of
+		// scanning its dense counts, the cache's own Freeze is a no-op,
+		// and the cluster offer's asynchronous send reads an immutable
+		// graph.
+		g.Freeze()
 		if s.store != nil {
 			// Failures are counted in store stats; the in-memory cache
 			// still serves this life.
@@ -673,12 +680,8 @@ func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Gra
 		}
 		if s.cluster != nil {
 			// Freshly paid-for profile: replicate to the key's owners so
-			// no node in the cluster ever profiles it again. Freeze
-			// first (idempotent — the cache would do it next anyway) so
-			// the coordinator's asynchronous send reads an immutable
-			// graph.
-			g.Freeze()
-			// The replication send itself is asynchronous; the span marks
+			// no node in the cluster ever profiles it again. The
+			// replication send itself is asynchronous; the span marks
 			// that this request initiated it.
 			octx, span := obs.TracerFromContext(ctx).StartSpan(ctx, "cluster.offer")
 			s.cluster.OfferGraph(octx, key, g)

@@ -248,7 +248,7 @@ func writePrometheus(w io.Writer, m *Metrics, st promSnapshot) error {
 	if st.store != nil {
 		p.family("statsimd_store_loads_total", "Durable profile loads served from disk.", "counter")
 		p.sample("statsimd_store_loads_total", promUint(st.store.Loads))
-		p.family("statsimd_store_misses_total", "Durable profile lookups with no file on disk.", "counter")
+		p.family("statsimd_store_misses_total", "Durable profile lookups with no usable file on disk (none, or an older store version).", "counter")
 		p.sample("statsimd_store_misses_total", promUint(st.store.Misses))
 		p.family("statsimd_store_saves_total", "Durable profile writes.", "counter")
 		p.sample("statsimd_store_saves_total", promUint(st.store.Saves))

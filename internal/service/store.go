@@ -45,17 +45,31 @@ const (
 // is returned; callers re-profile and overwrite.
 var ErrCorruptProfile = errors.New("service: corrupt profile file")
 
+// ErrProfileVersion reports an envelope written in another storeVersion:
+// its payload is not in this build's profile format. The store treats
+// an older file as a miss that the next Save overwrites, and a cluster
+// fetch gives up on the peer at once, since it would answer the same
+// way on every retry.
+var ErrProfileVersion = errors.New("service: profile envelope from another store version")
+
+// errOlderVersion is ErrProfileVersion for a well-formed envelope of an
+// earlier storeVersion (every check but the payload parse passed).
+var errOlderVersion = fmt.Errorf("%w (an earlier one)", ErrProfileVersion)
+
 // Durable store file envelope: magic, format version, the profile key
 // (so a renamed or colliding file cannot impersonate another profile),
-// and a CRC-32C over the gob payload so torn or bit-rotted writes are
-// detected before sfg.Load ever parses them.
+// and a CRC-32C over the profile payload so torn or bit-rotted writes
+// are detected before sfg.Load ever parses them. Every version so far
+// shares this layout and differs only in the payload's format, so an
+// older envelope is checked in full before it is reported as a version
+// miss.
 var (
 	storeMagic = [4]byte{'S', 'F', 'G', 'S'}
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
 const (
-	storeVersion    = 1
+	storeVersion    = 2
 	quarantineDir   = "quarantine"
 	sweepJournalDir = "sweeps"
 	maxStoreKeyLen  = 1 << 12
@@ -72,7 +86,7 @@ type Store struct {
 	faults *fault.Injector
 
 	loads        atomic.Uint64 // durable hits
-	misses       atomic.Uint64 // no file on disk
+	misses       atomic.Uint64 // no file on disk, or an older-version one
 	saves        atomic.Uint64
 	saveFailures atomic.Uint64
 	quarantined  atomic.Uint64
@@ -122,7 +136,7 @@ func (st *Store) Path(key ProfileKey) string {
 }
 
 // envelopeParts encodes a profile into the envelope's two variable
-// sections: the marshalled key and the gob payload.
+// sections: the marshalled key and the profile payload.
 func envelopeParts(key ProfileKey, g *sfg.Graph) (keyJSON, body []byte, err error) {
 	var payload bytes.Buffer
 	if err := g.Save(&payload); err != nil {
@@ -168,7 +182,9 @@ func EncodeProfileEnvelope(key ProfileKey, g *sfg.Graph) ([]byte, error) {
 // want additionally requires the embedded key to match (how Load rejects
 // renamed or impersonating files); with a nil want the embedded key is
 // returned for the caller to judge (how a cluster peer accepts an
-// offered replica).
+// offered replica). An envelope of an earlier or later storeVersion
+// reports ErrProfileVersion (an earlier one only once the rest of the
+// envelope has checked out).
 func DecodeProfileEnvelope(data []byte, want *ProfileKey) (ProfileKey, *sfg.Graph, error) {
 	return decodeProfileEnvelope(data, want)
 }
@@ -231,7 +247,10 @@ func (st *Store) Save(key ProfileKey, g *sfg.Graph) (err error) {
 }
 
 // Load reads the key's durable profile. A missing file returns
-// os.ErrNotExist; a damaged file is quarantined and reported as
+// os.ErrNotExist. A file an earlier build wrote (an older storeVersion)
+// is a miss too: it is reported as ErrProfileVersion and left in place
+// for the next Save to overwrite. Any other damaged file, including one
+// of an unknown version, is quarantined and reported as
 // ErrCorruptProfile. The returned graph is validated but not frozen —
 // the cache freezes before publication, same as a fresh profile.
 func (st *Store) Load(key ProfileKey) (*sfg.Graph, error) {
@@ -244,6 +263,10 @@ func (st *Store) Load(key ProfileKey) (*sfg.Graph, error) {
 		return nil, err
 	}
 	_, g, err := decodeProfileEnvelope(data, &key)
+	if errors.Is(err, errOlderVersion) {
+		st.misses.Add(1)
+		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+	}
 	if err != nil {
 		st.quarantine(path)
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptProfile, filepath.Base(path), err)
@@ -260,8 +283,11 @@ func decodeProfileEnvelope(data []byte, want *ProfileKey) (ProfileKey, *sfg.Grap
 		return key, nil, errors.New("bad magic")
 	}
 	var version, keyLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil || version != storeVersion {
+	if err := binary.Read(r, binary.LittleEndian, &version); err != nil || version == 0 {
 		return key, nil, fmt.Errorf("unsupported version %d", version)
+	}
+	if version > storeVersion {
+		return key, nil, fmt.Errorf("%w: version %d is newer than this build's %d", ErrProfileVersion, version, storeVersion)
 	}
 	if err := binary.Read(r, binary.LittleEndian, &keyLen); err != nil || keyLen > maxStoreKeyLen {
 		return key, nil, errors.New("bad key length")
@@ -294,8 +320,27 @@ func decodeProfileEnvelope(data []byte, want *ProfileKey) (ProfileKey, *sfg.Grap
 	if got := crc32.Checksum(body, castagnoli); got != sum {
 		return key, nil, fmt.Errorf("checksum %08x, envelope says %08x", got, sum)
 	}
+	if version < storeVersion {
+		return key, nil, fmt.Errorf("%w: version %d, this build reads %d", errOlderVersion, version, storeVersion)
+	}
 	g, err := sfg.Load(bytes.NewReader(body))
 	return key, g, err
+}
+
+// holdsCurrent reports whether key's file exists with this build's
+// storeVersion in its header. It reads only the header: Load still
+// checks the rest.
+func (st *Store) holdsCurrent(key ProfileKey) bool {
+	f, err := os.Open(st.Path(key))
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var hdr [8]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return false
+	}
+	return [4]byte(hdr[:4]) == storeMagic && binary.LittleEndian.Uint32(hdr[4:]) == storeVersion
 }
 
 // quarantine moves a damaged file aside so it is preserved for

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,5 +180,78 @@ func TestStoreInjectedCorruptionIsQuarantinedOnLoad(t *testing.T) {
 	}
 	if st.Stats().Quarantined != 1 {
 		t.Errorf("stats %+v", st.Stats())
+	}
+}
+
+// envelopeV1 lays out a version-1 envelope by hand, as an earlier build
+// wrote it. The envelope layout is unchanged since version 1; only the
+// payload format differs, so the payload is arbitrary bytes under a
+// valid CRC.
+func envelopeV1(t *testing.T, k ProfileKey) []byte {
+	t.Helper()
+	keyJSON, err := json.Marshal(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte("a gob-encoded graph from an earlier build")
+	b := append([]byte(nil), storeMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keyJSON)))
+	b = append(b, keyJSON...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(body)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(body, castagnoli))
+	return append(b, body...)
+}
+
+// TestStoreOlderVersionIsMiss pins what an upgraded daemon does with a
+// store an earlier build wrote: a well-formed older-version file is a
+// plain miss, left in place and not counted as quarantined, and the
+// next Save overwrites it. Unknown versions stay corruption.
+func TestStoreOlderVersionIsMiss(t *testing.T) {
+	st := newTestStore(t, nil)
+	g := testGraph(t)
+	k := key("vpr")
+	if err := os.WriteFile(st.Path(k), envelopeV1(t, k), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := st.Load(k)
+	if !errors.Is(err, ErrProfileVersion) || errors.Is(err, ErrCorruptProfile) {
+		t.Fatalf("version-1 file: load returned %v, want a version miss", err)
+	}
+	if _, err := os.Stat(st.Path(k)); err != nil {
+		t.Fatalf("version-1 file moved: %v", err)
+	}
+	if s := st.Stats(); s.Quarantined != 0 || s.Misses != 1 || s.Loads != 0 {
+		t.Errorf("stats after version-1 load %+v, want one miss", s)
+	}
+	if err := st.Save(k, g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(k); err != nil {
+		t.Fatalf("load after overwriting the version-1 file: %v", err)
+	}
+
+	// A version this build does not know, newer or never issued, is
+	// damage: quarantined like any other envelope failure. A peer's
+	// newer envelope still reports the version sentinel.
+	env, err := EncodeProfileEnvelope(k, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []uint32{storeVersion + 1, 0} {
+		bad := append([]byte(nil), env...)
+		binary.LittleEndian.PutUint32(bad[4:8], v)
+		if _, _, err := DecodeProfileEnvelope(bad, &k); errors.Is(err, ErrProfileVersion) != (v > storeVersion) {
+			t.Errorf("version %d: decode returned %v", v, err)
+		}
+		if err := os.WriteFile(st.Path(k), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Load(k); !errors.Is(err, ErrCorruptProfile) {
+			t.Errorf("version %d: load returned %v, want corruption", v, err)
+		}
+		if got := st.Stats().Quarantined; got != uint64(i+1) {
+			t.Errorf("version %d: quarantined %d files, want %d", v, got, i+1)
+		}
 	}
 }

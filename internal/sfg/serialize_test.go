@@ -2,11 +2,32 @@ package sfg
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/program"
 	"repro/internal/trace"
 )
+
+// testProfile profiles a small generated program with opts.
+func testProfile(t testing.TB, opts Options, n uint64) *Graph {
+	t.Helper()
+	prog := program.MustGenerate(program.Personality{Name: "t", Seed: 3, TargetBlocks: 80})
+	g, err := Profile(&trace.LimitSource{Src: program.NewExecutor(prog, 1), N: n}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func encode(t testing.TB, g *Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	prog := program.MustGenerate(program.Personality{Name: "t", Seed: 3, TargetBlocks: 80})
@@ -61,5 +82,66 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a profile"))); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestSaveIsCanonical pins the byte form's determinism: one graph has
+// one encoding, whether or not its histograms are frozen, and a loaded
+// graph re-encodes to the bytes it was loaded from.
+func TestSaveIsCanonical(t *testing.T) {
+	for _, opts := range []Options{defaultOpts(1), func() Options { o := defaultOpts(2); o.DepMax = 64; return o }()} {
+		g := testProfile(t, opts, 60_000)
+		first := encode(t, g)
+		if !bytes.Equal(first, encode(t, g)) {
+			t.Fatal("two saves of one graph differ")
+		}
+		g.Freeze()
+		if !bytes.Equal(first, encode(t, g)) {
+			t.Fatal("save after Freeze differs from save before it")
+		}
+		g2, err := Load(bytes.NewReader(first))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, encode(t, g2)) {
+			t.Fatal("Save∘Load∘Save does not reproduce the bytes")
+		}
+		for _, e := range g2.Edges {
+			for _, ip := range e.Insts {
+				if h := ip.Dep[0]; h != nil && h.Max != opts.withDefaults().DepMax {
+					t.Fatalf("histogram bound %d, profiled with DepMax %d", h.Max, opts.withDefaults().DepMax)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadRejectsNonCanonical: every damaged or non-canonical form of a
+// valid encoding is an error, never a panic or a different graph —
+// truncation at every length, trailing bytes, a padded varint, another
+// version, a gob stream from an earlier build.
+func TestLoadRejectsNonCanonical(t *testing.T) {
+	valid := encode(t, testProfile(t, defaultOpts(1), 5_000))
+	for n := 0; n < len(valid); n++ {
+		if _, err := Load(bytes.NewReader(valid[:n])); err == nil {
+			t.Fatalf("truncated to %d of %d bytes: accepted", n, len(valid))
+		}
+	}
+	bad := map[string][]byte{
+		"trailing byte": append(append([]byte(nil), valid...), 0),
+		// The version uvarint 2 padded to two bytes.
+		"padded varint": append(append(append([]byte(nil), valid[:4]...), 0x82, 0x00), valid[5:]...),
+		"version 1":     append(append(append([]byte(nil), valid[:4]...), 1), valid[5:]...),
+		"earlier build": {0x3f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'g', 'r', 'a', 'p', 'h', 'W', 'i', 'r', 'e'},
+		"order above 4": append(append(append([]byte(nil), valid[:5]...), 5), valid[6:]...),
+	}
+	for name, b := range bad {
+		if _, err := Load(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	_, err := Load(bytes.NewReader(bad["earlier build"]))
+	if err == nil || !strings.Contains(err.Error(), "re-profile") {
+		t.Errorf("a profile from an earlier build should say to re-profile, got %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -203,39 +204,45 @@ var (
 func traceCells(t *testing.T, w Workload) map[string]string {
 	t.Helper()
 	cells := map[string]string{}
-	buf := make([]trace.DynInst, 1024)
 	for k := 0; k <= 2; k++ {
 		g, err := core.Profile(cpu.DefaultConfig(), w.Stream(kernelSeed, 0, traceProfileN), core.ProfileOptions{K: k})
 		if err != nil {
 			t.Fatalf("%s k=%d: profile: %v", w.Name, k, err)
 		}
-		for _, target := range traceTargets {
-			r := core.ReductionFor(g, target)
-			for _, m := range traceModes {
-				opts := m.opts
-				opts.R = r
-				red, err := synth.Reduce(g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, seed := range traceSeeds {
-					src := red.NewTrace(seed)
-					h := sha256.New()
-					for {
-						n := src.NextBatch(buf)
-						if n == 0 {
-							break
-						}
-						if err := binary.Write(h, binary.LittleEndian, buf[:n]); err != nil {
-							t.Fatal(err)
-						}
+		traceGraphCells(t, g, k, cells)
+	}
+	return cells
+}
+
+// traceGraphCells adds the cells of one order-k graph to cells.
+func traceGraphCells(t *testing.T, g *sfg.Graph, k int, cells map[string]string) {
+	t.Helper()
+	buf := make([]trace.DynInst, 1024)
+	for _, target := range traceTargets {
+		r := core.ReductionFor(g, target)
+		for _, m := range traceModes {
+			opts := m.opts
+			opts.R = r
+			red, err := synth.Reduce(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range traceSeeds {
+				src := red.NewTrace(seed)
+				h := sha256.New()
+				for {
+					n := src.NextBatch(buf)
+					if n == 0 {
+						break
 					}
-					cells[fmt.Sprintf("k%d/t%d/%s/seed%d", k, target, m.name, seed)] = hex.EncodeToString(h.Sum(nil))
+					if err := binary.Write(h, binary.LittleEndian, buf[:n]); err != nil {
+						t.Fatal(err)
+					}
 				}
+				cells[fmt.Sprintf("k%d/t%d/%s/seed%d", k, target, m.name, seed)] = hex.EncodeToString(h.Sum(nil))
 			}
 		}
 	}
-	return cells
 }
 
 // TestTraceCorpus checks every workload's generated traces against the
@@ -247,6 +254,62 @@ func TestTraceCorpus(t *testing.T) {
 			checkHashCorpus(t, path, w.Name, "trace", traceCells(t, w))
 		})
 	}
+}
+
+// TestTraceCorpusStoreRoundTrip generates the k=1 trace cells from a
+// graph that went through the durable store's envelope, frozen first as
+// statsimd freezes a fresh profile before saving it. Every cell must
+// match the committed corpus: the profile byte format loses nothing
+// that generation reads. It never rewrites the corpus.
+func TestTraceCorpusStoreRoundTrip(t *testing.T) {
+	for _, w := range Workloads() {
+		t.Run(w.Name, func(t *testing.T) {
+			key := service.ProfileKey{Workload: w.Name, K: 1, N: traceProfileN, Seed: kernelSeed}
+			g, err := core.Profile(cpu.DefaultConfig(), w.Stream(key.Seed, 0, key.N), core.ProfileOptions{K: key.K})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Freeze()
+			env, err := service.EncodeProfileEnvelope(key, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, loaded, err := service.DecodeProfileEnvelope(env, &key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]string{}
+			traceGraphCells(t, loaded, key.K, got)
+			want := readHashCorpus(t, filepath.Join("testdata", "trace", w.Name+".json"), "trace")
+			checked := 0
+			for cell, h := range want {
+				if !strings.HasPrefix(cell, "k1/") {
+					continue
+				}
+				checked++
+				if got[cell] != h {
+					t.Errorf("%s: cell %q after a store round trip: hash %s, corpus %s", w.Name, cell, got[cell], h)
+				}
+			}
+			if checked == 0 || checked != len(got) {
+				t.Errorf("%s: %d k=1 cells in the corpus, %d generated", w.Name, checked, len(got))
+			}
+		})
+	}
+}
+
+// readHashCorpus reads the cell → hash map stored at path.
+func readHashCorpus(t *testing.T, path, corpus string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing %s corpus file (run with -update to create): %v", corpus, err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("corrupt %s corpus file %s: %v", corpus, path, err)
+	}
+	return want
 }
 
 // checkHashCorpus compares got against the cell → hash map stored at
@@ -266,14 +329,7 @@ func checkHashCorpus(t *testing.T, path, workload, corpus string, got map[string
 		}
 		return
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing %s corpus file (run with -update to create): %v", corpus, err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("corrupt %s corpus file %s: %v", corpus, path, err)
-	}
+	want := readHashCorpus(t, path, corpus)
 	keys := make([]string, 0, len(want))
 	for k := range want {
 		keys = append(keys, k)
