@@ -8,9 +8,9 @@ import (
 
 // The pipeline benchmarks measure the three stages of the statistical
 // simulation methodology in isolation plus the whole path end to end.
-// They are the CI bench job's regression surface: benchjson archives
-// them per commit as BENCH_<sha>.json and `benchjson -compare` warns
-// when a stage regresses by more than 10% against the previous artifact.
+// They are per-stage probes, not a regression gate: statbench (bench/)
+// is the measurement of record, and a speed claim that cites one of
+// these runs it with -count 6 or more.
 const (
 	benchProfileN  = 100_000
 	benchSynthR    = 2

@@ -15,8 +15,10 @@ import (
 )
 
 // cmdSweep runs a parallel design-space sweep from one statistical
-// profile — the same code path (service.Sweep) the statsimd daemon's
-// POST /v1/sweep and the §4.6 DSE experiment use, driven locally.
+// profile through the one sweep engine, service.Sweep, which statsimd's
+// POST /v1/sweep, the statsim.Sweep facade and the §4.6 DSE experiment
+// also run. Here it runs with a journal at most: the daemon's result
+// store, surrogate and cluster tiers are not attached.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	load := workloadFlags(fs)
@@ -77,7 +79,7 @@ func cmdSweep(args []string) error {
 		defer j.Close()
 	}
 
-	var progressFn func(int, service.SweepResult)
+	var progressFn func([]int, []service.SweepResult)
 	if *showProgress {
 		var completed atomic.Int64
 		if j != nil {
@@ -85,8 +87,9 @@ func cmdSweep(args []string) error {
 		}
 		total := int64(len(points))
 		step := max(total/20, 1)
-		progressFn = func(int, service.SweepResult) {
-			if n := completed.Add(1); n%step == 0 || n == total {
+		progressFn = func(indices []int, _ []service.SweepResult) {
+			added := int64(len(indices))
+			if n := completed.Add(added); n/step != (n-added)/step || n == total {
 				fmt.Fprintf(os.Stderr, "sweep: %d/%d points\n", n, total)
 			}
 		}
@@ -97,8 +100,8 @@ func cmdSweep(args []string) error {
 	// The sweep interleaves reduce/generate/simulate per point across
 	// workers; one aggregate span is the honest attribution.
 	sp := rec.Start("sweep")
-	results, resumed, err := service.SweepWithJournal(context.Background(), pool, mkCfg(), g,
-		points, red, *simSeed, j, nil, progressFn)
+	results, resumed, err := service.Sweep(context.Background(), mkCfg(), g, points, red, *simSeed,
+		service.SweepOptions{Pool: pool, Journal: j, Progress: progressFn})
 	sp.End()
 	if err != nil {
 		return err

@@ -83,7 +83,7 @@ func DSE(s Scale, grid []DSEPoint) (*DSEResult, error) {
 		}
 		r := core.ReductionFor(g, perPoint)
 
-		swept, err := service.Sweep(context.Background(), pool, base, g, grid, r, 1)
+		swept, _, err := service.Sweep(context.Background(), base, g, grid, r, 1, service.SweepOptions{Pool: pool})
 		if err != nil {
 			return row, err
 		}

@@ -11,21 +11,12 @@ package lockstep
 // Key is the cohort identity of one design point: the inputs that
 // determine the synthetic trace. Points with unequal keys must never
 // share a generation pass; points with equal keys always may.
-//
-// Fidelity is the adaptive-fidelity knob: a non-empty value routes the
-// point through the stratified estimator (internal/fidelity), whose
-// per-stratum sampling is not a single-trace walk — such points are
-// never lockstepped and each forms a singleton cohort.
 type Key struct {
 	Workload string
 	K        int
 	R        uint64
 	Seed     uint64
-	Fidelity string
 }
-
-// serialOnly reports whether the key forbids batching altogether.
-func (k Key) serialOnly() bool { return k.Fidelity != "" }
 
 // Point is one design point as the planner sees it: its cohort key and
 // its position in the caller's grid.
@@ -42,16 +33,11 @@ type Cohort struct {
 }
 
 // Cohorts partitions points into cohorts by key, preserving first-
-// appearance order across cohorts and input order within each. Points
-// whose key is serial-only (fidelity) become singleton cohorts.
+// appearance order across cohorts and input order within each.
 func Cohorts(pts []Point) []Cohort {
 	var out []Cohort
 	byKey := make(map[Key]int)
 	for _, p := range pts {
-		if p.Key.serialOnly() {
-			out = append(out, Cohort{Key: p.Key, Indices: []int{p.Index}})
-			continue
-		}
 		ci, ok := byKey[p.Key]
 		if !ok {
 			ci = len(out)
@@ -111,9 +97,6 @@ func Plan(pts []Point, opts Options) []Group {
 			groups = parallel
 		}
 		if groups > n {
-			groups = n
-		}
-		if c.Key.serialOnly() {
 			groups = n
 		}
 		// Contiguous split into `groups` parts, sizes differing by at

@@ -10,8 +10,8 @@ import (
 func pt(key lockstep.Key, i int) lockstep.Point { return lockstep.Point{Key: key, Index: i} }
 
 // TestCohortsNeverMixTraceKnobs: two points differing in any
-// trace-affecting knob — workload, profile depth k, reduction R, trace
-// seed, or the fidelity routing — must never share a cohort.
+// trace-affecting knob — workload, profile depth k, reduction R or trace
+// seed — must never share a cohort.
 func TestCohortsNeverMixTraceKnobs(t *testing.T) {
 	base := lockstep.Key{Workload: "gcc-like", K: 1, R: 16, Seed: 7}
 	mutate := func(mut func(*lockstep.Key)) lockstep.Key {
@@ -27,7 +27,6 @@ func TestCohortsNeverMixTraceKnobs(t *testing.T) {
 		{"k", mutate(func(k *lockstep.Key) { k.K = 2 })},
 		{"r", mutate(func(k *lockstep.Key) { k.R = 32 })},
 		{"seed", mutate(func(k *lockstep.Key) { k.Seed = 8 })},
-		{"fidelity", mutate(func(k *lockstep.Key) { k.Fidelity = "quick" })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,21 +57,6 @@ func TestCohortsPreserveOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cohorts = %+v, want %+v", got, want)
-	}
-}
-
-// TestFidelityPointsAreSingletons: fidelity-routed points never batch,
-// even with identical keys.
-func TestFidelityPointsAreSingletons(t *testing.T) {
-	k := lockstep.Key{Workload: "a", R: 1, Seed: 1, Fidelity: "ci"}
-	cohorts := lockstep.Cohorts([]lockstep.Point{pt(k, 0), pt(k, 1), pt(k, 2)})
-	if len(cohorts) != 3 {
-		t.Fatalf("fidelity points formed %d cohorts, want 3 singletons: %+v", len(cohorts), cohorts)
-	}
-	for i, c := range cohorts {
-		if len(c.Indices) != 1 || c.Indices[0] != i {
-			t.Fatalf("cohort %d = %+v, want singleton {%d}", i, c, i)
-		}
 	}
 }
 
@@ -149,22 +133,6 @@ func TestPlanShapes(t *testing.T) {
 				t.Fatal("Plan is not deterministic")
 			}
 		})
-	}
-}
-
-// TestPlanFidelitySerial: serial-only (fidelity) points plan into
-// singleton groups regardless of Parallel and MaxGroup.
-func TestPlanFidelitySerial(t *testing.T) {
-	key := lockstep.Key{Workload: "a", R: 1, Seed: 1, Fidelity: "full"}
-	pts := []lockstep.Point{pt(key, 0), pt(key, 1), pt(key, 2), pt(key, 3)}
-	groups := lockstep.Plan(pts, lockstep.Options{MaxGroup: 16, Parallel: 1})
-	if len(groups) != 4 {
-		t.Fatalf("fidelity plan made %d groups, want 4 singletons: %+v", len(groups), groups)
-	}
-	for i, g := range groups {
-		if len(g.Indices) != 1 || g.Indices[0] != i {
-			t.Fatalf("group %d = %+v, want singleton {%d}", i, g, i)
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/sfg"
 )
@@ -70,18 +69,19 @@ type ClusterSweepJob struct {
 	Target  uint64
 	SimSeed uint64
 
-	// Report is called once per completed batch of pending points — a
-	// remote chunk or a local lockstep group, one durable commit each —
-	// with ms[k] belonging to indices[k]. Calls arrive concurrently from
-	// dispatch goroutines; index values are disjoint across calls.
+	// Report is called once per completed remote chunk, one durable
+	// commit each, with ms[k] belonging to indices[k]. Calls arrive
+	// concurrently from dispatch goroutines; index values are disjoint
+	// across calls.
 	Report func(indices []int, ms []core.Metrics)
 	// ReportCost, when non-nil, records one completed point's cost
 	// ledger entry (tier, executing node, cohort, wall time). Same
 	// concurrency contract as Report.
 	ReportCost func(index int, c PointCost)
-	// Local computes the given indices on this node's own pool, calling
-	// Report per lockstep group — the coordinator's executor of last
-	// resort, so a sweep completes even with every remote peer dead.
+	// Local computes the given indices on this node's own pool and
+	// commits each lockstep group as Report commits a chunk — the
+	// coordinator's executor of last resort, so a sweep completes even
+	// with every remote peer dead.
 	Local func(ctx context.Context, indices []int) error
 	// Failover, when non-nil, is told each time a peer was lost and its
 	// unfinished points re-partitioned.
@@ -190,55 +190,6 @@ func (s *Server) Cluster() Cluster { return s.cluster }
 // ejection and failover events into the same ring the request events
 // land in — /v1/debug/requests then explains rerouted requests.
 func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
-
-// simulatePoint is the one deterministic kernel every sweep execution
-// path ends in for a singleton group: the local engine and the
-// cluster's local executor both reach it through runPendingBatched
-// (larger groups take core.SimulateBatch, which is byte-identical per
-// point by the lockstep equivalence argument).
-func simulatePoint(base cpu.Config, g *sfg.Graph, points []SweepPoint, i int, r, seed uint64) (core.Metrics, error) {
-	return core.StatSim(points[i].Apply(base), g, r, seed)
-}
-
-// sweepClustered fans the pending indices of a sweep out across the
-// cluster, journaling and publishing progress through report exactly
-// like the local path. The local executor handed to the coordinator
-// runs indices through this node's own pool with the same lockstep
-// batching, fault site and ctx discipline as SweepWithJournal, so a
-// sweep that degrades all the way back to local-only is
-// indistinguishable from an unclustered one.
-func (s *Server) sweepClustered(ctx context.Context, spec ProfileSpec, cfgSpec ConfigSpec, base cpu.Config, g *sfg.Graph, points []SweepPoint, pending []int, red, simSeed uint64, report func([]int, []core.Metrics), ledger *costLedger) error {
-	job := ClusterSweepJob{
-		Profile: spec,
-		Config:  cfgSpec,
-		Points:  points,
-		Pending: pending,
-		Target:  0, // set below: target is recovered from red via the graph
-		SimSeed: simSeed,
-		Report:  report,
-		ReportCost: func(index int, c PointCost) {
-			ledger.record(index, c.Tier, c.Node, c.Cohort, c.WallS, c.Estimated)
-		},
-		Local: func(ctx context.Context, indices []int) error {
-			return runPendingBatched(ctx, s.pool, s.faults, base, g, points, indices, red, simSeed, report,
-				func(index, cohort int, wallS float64) {
-					ledger.record(index, TierSimulated, "", cohort, wallS, false)
-				})
-		},
-		Failover: func(peer string, n int) {
-			s.log.Warn("sweep failover", "trace_id", obs.TraceIDFromContext(ctx),
-				"peer", peer, "repartitioned_points", n)
-			if ri := requestInfo(ctx); ri != nil {
-				ri.failovers.Add(1)
-			}
-		},
-	}
-	// Remote peers re-derive the reduction factor from (graph, target);
-	// sending the target the caller asked for keeps the derivation
-	// identical on every node because the graph is bit-identical.
-	job.Target = targetForReduction(g, red)
-	return s.cluster.SweepPending(ctx, job)
-}
 
 // targetForReduction inverts core.ReductionFor: the synthetic-trace
 // target length that makes a remote node re-derive exactly the given

@@ -90,7 +90,7 @@ func TestSweepJournalCleanReopenInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j, nil, nil); err != nil {
+	if _, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Journal: j}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -152,7 +152,7 @@ func TestSweepJournalBatchCrashCutMatrix(t *testing.T) {
 	defer pool.Drain(context.Background())
 	ctx := context.Background()
 
-	golden, err := Sweep(ctx, pool, base, g, points, r, seed)
+	golden, _, err := Sweep(ctx, base, g, points, r, seed, SweepOptions{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSweepJournalBatchCrashCutMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SweepWithJournal(ctx, pool, base, g, points, r, seed, j, nil, nil); err != nil {
+	if _, _, err := Sweep(ctx, base, g, points, r, seed, SweepOptions{Pool: pool, Journal: j}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -220,7 +220,7 @@ func TestSweepJournalBatchCrashCutMatrix(t *testing.T) {
 				t.Fatalf("cut %d: record for point %d missing or wrong", cut, i)
 			}
 		}
-		results, _, err := SweepWithJournal(ctx, pool, base, g, points, r, seed, j2, nil, nil)
+		results, _, err := Sweep(ctx, base, g, points, r, seed, SweepOptions{Pool: pool, Journal: j2})
 		j2.Close()
 		if err != nil {
 			t.Fatalf("cut %d: resume failed: %v", cut, err)

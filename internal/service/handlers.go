@@ -156,7 +156,7 @@ type Server struct {
 	sweepFromStore     atomic.Uint64
 	sweepFromSurrogate atomic.Uint64
 	sweepSimulated     atomic.Uint64
-	sweepLocks         sync.Map // sweep fingerprint -> *sync.Mutex
+	sweepLocks         sweepLockTable
 	fidelity           fidelityCounters
 
 	// Shed-storm detection: a burst of 429s inside stormWindow triggers
@@ -194,6 +194,8 @@ func New(opts Options) (*Server, error) {
 		costs:    newCostCounters(),
 		build:    readBuildInfo(),
 		node:     "local",
+
+		sweepLocks: sweepLockTable{locks: make(map[string]*sweepLock)},
 	}
 	if s.opts.MaxQueueDepth <= 0 {
 		s.opts.MaxQueueDepth = 4 * s.pool.Stats().Workers
@@ -1036,24 +1038,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 	}
 	base := req.Config.apply(cpu.DefaultConfig())
 	red := core.ReductionFor(g, req.Target)
-	params := sweepParams{
-		spec:    req.Profile,
-		cfg:     req.Config,
+	ledger := newCostLedger(s.node, len(points))
+	results, resumed, err := s.sweep(ctx, base, g, points, red, req.SimSeed, SweepOptions{
+		oracle:  s.oracle,
 		pkey:    key,
-		base:    base,
-		g:       g,
-		points:  points,
-		red:     red,
-		simSeed: req.SimSeed,
+		cluster: s.cluster,
+		spec:    req.Profile,
+		cfgSpec: req.Config,
 		fanout:  fanout,
-		ledger:  newCostLedger(s.node, len(points)),
-	}
-	results, resumed, err := s.runSweep(ctx, params)
+		ledger:  ledger,
+		log:     s.log,
+	})
 	sub.End()
 	if err != nil {
 		return nil, err
 	}
-	entries := params.ledger.snapshot()
+	entries := ledger.snapshot()
 	s.costs.add(entries)
 	s.writeManifest(ctx, "/v1/sweep", func(m *obs.Manifest) {
 		m.ConfigFingerprint = obs.Fingerprint(base)
@@ -1114,165 +1114,101 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 	return resp, nil
 }
 
-// sweepParams bundles one sweep's full identity: the profile and
-// config specs travel alongside the resolved graph/base so the
-// clustered engine can re-issue sub-requests shaped exactly like the
-// original, and fanout marks a sub-request that must not fan out again.
-type sweepParams struct {
-	spec    ProfileSpec
-	cfg     ConfigSpec
-	pkey    ProfileKey // resolved spec, as oracle keys carry it
-	base    cpu.Config
-	g       *sfg.Graph
-	points  []SweepPoint
-	red     uint64
-	simSeed uint64
-	fanout  bool
-	// ledger collects the sweep's per-point cost entries (nil-safe:
-	// embedded callers without one pay nothing).
-	ledger *costLedger
-}
-
-// runSweep runs the design-space sweep, checkpointing through the
-// durable store when one is configured: the journal is keyed by the
-// sweep's fingerprint, so the same request after a daemon restart
-// resumes instead of recomputing, and identical concurrent requests
-// serialise on a per-fingerprint lock (the second finds every point
-// checkpointed). Journal failures degrade to an un-checkpointed sweep
-// rather than failing the request.
-//
-// Progress is published into the hub feed keyed by the request's trace
-// ID: a "start" event once the resume count is known, one "point" event
-// per freshly served point, published batch by batch after each batch's
-// durable commit, and a terminal "done" or "error" — the stream GET
-// /v1/sweep/progress serves.
-func (s *Server) runSweep(ctx context.Context, p sweepParams) ([]SweepResult, int, error) {
+// sweep runs one /v1/sweep through the engine (Sweep) with the tiers in
+// opts, and adds only what the daemon alone owns. With a durable store
+// the sweep is checkpointed in a journal keyed by its fingerprint, so
+// the same request after a restart resumes instead of recomputing, and
+// identical concurrent requests serialise on that fingerprint's lock
+// (the second finds every point checkpointed); a journal that cannot be
+// opened degrades to an un-checkpointed sweep rather than failing the
+// request. Progress goes to the hub feed keyed by the request's trace
+// ID — "start" once the resume count is known, one "point" event per
+// served point, batch by batch after each batch's durable commit, and a
+// terminal "done" or "error": the stream GET /v1/sweep/progress serves.
+// The same hook feeds the sweep and request counters.
+func (s *Server) sweep(ctx context.Context, base cpu.Config, g *sfg.Graph, points []SweepPoint, red, simSeed uint64, opts SweepOptions) ([]SweepResult, int, error) {
 	// Fanout sub-sweeps share the root request's trace ID; publishing
 	// into the hub would collide with the coordinator's own feed for the
 	// same ID (the first terminal event would silence the rest), so they
 	// run against a nil feed, which discards everything.
 	var feed *progressFeed
-	if !p.fanout {
+	if !opts.fanout {
 		feed = s.progress.feed(obs.TraceIDFromContext(ctx))
 	}
-	results, resumed, err := s.sweepJournaled(ctx, p, feed)
-	feed.finish(err)
-	if err != nil {
-		return nil, resumed, err
-	}
-	return results, resumed, nil
-}
-
-// sweepJournaled picks the checkpointed or plain sweep path and emits
-// the feed's "start" event once the resume count is known (so "point"
-// events count from resumed upward).
-func (s *Server) sweepJournaled(ctx context.Context, p sweepParams, feed *progressFeed) ([]SweepResult, int, error) {
-	if s.store == nil {
-		feed.begin(len(p.points), 0)
-		return s.sweepExecute(ctx, p, nil, feed)
-	}
-	id := SweepFingerprint(p.g, p.base, p.points, p.red, p.simSeed)
-	mu, _ := s.sweepLocks.LoadOrStore(id, &sync.Mutex{})
-	mu.(*sync.Mutex).Lock()
-	defer mu.(*sync.Mutex).Unlock()
-	j, err := OpenSweepJournal(s.store.JournalPath(id), id, len(p.points), s.faults)
-	if err != nil {
-		feed.begin(len(p.points), 0)
-		return s.sweepExecute(ctx, p, nil, feed)
-	}
-	defer j.Close()
-	s.log.Debug("sweep checkpoint journal opened", "trace_id", obs.TraceIDFromContext(ctx),
-		"fingerprint", id, "points", len(p.points), "resumed", j.Resumed(), "dropped", j.Dropped())
-	feed.begin(len(p.points), j.Resumed())
-	results, resumed, err := s.sweepExecute(ctx, p, j, feed)
-	s.sweepResumed.Add(uint64(resumed))
-	if resumed > 0 {
-		if ri := requestInfo(ctx); ri != nil {
-			ri.resumed.Store(int64(resumed))
-		}
-	}
-	return results, resumed, err
-}
-
-// sweepExecute resolves every point of a sweep through the tiered
-// serving order — journal resume, then the oracle (exact store hits,
-// gated surrogate predictions), then the executors (local lockstep
-// batching or cluster fan-out) — filling results in grid order, so the
-// response bytes cannot depend on which tier (or which peer) answered a
-// point. Every tier hands over its points in batches — one oracle pass,
-// one lockstep group, one remote chunk — and each batch is one durable
-// commit (result store, then journal) whose progress events are
-// published only after that commit. Sub-sweeps dispatched by another
-// coordinator (fanout) always run locally and never answer with
-// estimates. What the executors compute feeds the oracle, so fallback
-// traffic continuously widens the store and sharpens the surrogate.
-func (s *Server) sweepExecute(ctx context.Context, p sweepParams, j *SweepJournal, feed *progressFeed) ([]SweepResult, int, error) {
-	// Concurrent simulations — local workers and the cluster offer/fetch
-	// paths — sample the shared graph; freezing makes those reads
-	// immutable (no-op if the cache already froze it).
-	p.g.Freeze()
-	results := make([]SweepResult, len(p.points))
-	var pending []int
-	resumed := 0
-	if j != nil {
-		done := j.Done()
-		for i := range p.points {
-			if m, ok := done[i]; ok {
-				results[i] = SweepResult{Point: p.points[i], Metrics: m}
-				p.ledger.record(i, TierResumed, "", -1, 0, false)
-				resumed++
-			} else {
-				pending = append(pending, i)
+	ri := requestInfo(ctx)
+	opts.Pool, opts.Faults = s.pool, s.faults
+	opts.Progress = func(indices []int, results []SweepResult) {
+		var store, surrogate int
+		for _, i := range indices {
+			switch {
+			case results[i].Estimate != nil:
+				surrogate++
+			case results[i].Served == ServedFromStore:
+				store++
 			}
 		}
-	} else {
-		pending = make([]int, len(p.points))
-		for i := range pending {
-			pending[i] = i
-		}
-	}
-
-	pending = s.oracleFilter(ctx, p, pending, results, j, feed)
-	if len(pending) == 0 {
-		return results, resumed, nil
-	}
-
-	// Indices are disjoint across concurrent report calls, so the
-	// results writes need no lock; learn, AppendBatch and the feed are
-	// concurrency-safe.
-	report := func(indices []int, ms []core.Metrics) {
-		var keys []resultstore.Key
-		if s.oracle.enabled() {
-			keys = make([]resultstore.Key, len(indices))
-		}
-		for k, i := range indices {
-			results[i] = SweepResult{Point: p.points[i], Metrics: ms[k]}
-			if keys != nil {
-				keys[k] = oracleKey(p.pkey, p.points[i].Apply(p.base), p.red, p.simSeed)
-			}
-		}
-		s.sweepSimulated.Add(uint64(len(indices)))
-		s.oracle.learn(keys, ms)
-		if j != nil {
-			// Best-effort: a failed commit only means these points are
-			// recomputed if the sweep is interrupted later.
-			_ = j.AppendBatch(indices, ms)
+		s.sweepFromStore.Add(uint64(store))
+		s.sweepFromSurrogate.Add(uint64(surrogate))
+		s.sweepSimulated.Add(uint64(len(indices) - store - surrogate))
+		if ri != nil {
+			ri.storeHits.Add(int64(store))
+			ri.surrogateHits.Add(int64(surrogate))
 		}
 		feed.publishPoints(indices, results)
 	}
-	if s.cluster == nil || p.fanout {
-		noteCost := func(index, cohort int, wallS float64) {
-			p.ledger.record(index, TierSimulated, "", cohort, wallS, false)
+	resumedAtOpen := 0
+	if s.store != nil {
+		id := SweepFingerprint(g, base, points, red, simSeed)
+		defer s.sweepLocks.lock(id)()
+		if j, err := OpenSweepJournal(s.store.JournalPath(id), id, len(points), s.faults); err == nil {
+			defer j.Close()
+			s.log.Debug("sweep checkpoint journal opened", "trace_id", obs.TraceIDFromContext(ctx),
+				"fingerprint", id, "points", len(points), "resumed", j.Resumed(), "dropped", j.Dropped())
+			opts.Journal, resumedAtOpen = j, j.Resumed()
 		}
-		if err := runPendingBatched(ctx, s.pool, s.faults, p.base, p.g, p.points, pending, p.red, p.simSeed, report, noteCost); err != nil {
-			return nil, resumed, err
+	}
+	feed.begin(len(points), resumedAtOpen)
+	results, resumed, err := Sweep(ctx, base, g, points, red, simSeed, opts)
+	s.sweepResumed.Add(uint64(resumed))
+	if resumed > 0 && ri != nil {
+		ri.resumed.Store(int64(resumed))
+	}
+	feed.finish(err)
+	return results, resumed, err
+}
+
+// sweepLockTable serialises sweeps with one fingerprint (they share a
+// journal file) and forgets a fingerprint once its last holder or
+// waiter releases it, so the table holds only sweeps in flight.
+type sweepLockTable struct {
+	mu    sync.Mutex
+	locks map[string]*sweepLock
+}
+
+type sweepLock struct {
+	sync.Mutex
+	refs int // holders plus waiters
+}
+
+// lock blocks until the caller holds id's lock and returns its release.
+func (t *sweepLockTable) lock(id string) (unlock func()) {
+	t.mu.Lock()
+	l := t.locks[id]
+	if l == nil {
+		l = &sweepLock{}
+		t.locks[id] = l
+	}
+	l.refs++
+	t.mu.Unlock()
+	l.Lock()
+	return func() {
+		l.Unlock()
+		t.mu.Lock()
+		if l.refs--; l.refs == 0 {
+			delete(t.locks, id)
 		}
-		return results, resumed, nil
+		t.mu.Unlock()
 	}
-	if err := s.sweepClustered(ctx, p.spec, p.cfg, p.base, p.g, p.points, pending, p.red, p.simSeed, report, p.ledger); err != nil {
-		return nil, resumed, err
-	}
-	return results, resumed, nil
 }
 
 // writeManifest persists a per-request run manifest when ManifestDir is

@@ -3,7 +3,6 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -21,14 +20,21 @@ import (
 )
 
 // SweepFingerprint identifies a sweep for checkpoint compatibility: the
-// profile (by shape — works for both cache keys and CLI-loaded files),
-// the base configuration, the exact point list, and the (R, seed) pair.
-// Two runs with equal fingerprints compute identical results, so their
-// checkpoints are interchangeable; anything else must not share one.
+// profile's content (its canonical Save bytes, so a cache key and a
+// CLI-loaded file of one graph agree, and two graphs of one shape do
+// not), the base configuration, the exact point list, and the (R, seed)
+// pair. Two runs with equal fingerprints compute identical results, so
+// their checkpoints are interchangeable; anything else must not share
+// one.
 func SweepFingerprint(g *sfg.Graph, base cpu.Config, points []SweepPoint, r, seed uint64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "sweep-v%d|graph:k=%d insts=%d blocks=%d nodes=%d edges=%d|cfg:%+v|r=%d|seed=%d|points=%d|",
-		journalVersion, g.K, g.TotalInstructions, g.TotalBlocks, g.NumNodes(), g.NumEdges(), base, r, seed, len(points))
+	fmt.Fprintf(h, "sweep-v%d|graph:", journalVersion)
+	if err := g.Save(h); err != nil {
+		// Only a graph Validate rejects fails to encode; hashing the
+		// reason keeps the fingerprint deterministic.
+		fmt.Fprintf(h, "unencodable %v", err)
+	}
+	fmt.Fprintf(h, "|cfg:%+v|r=%d|seed=%d|points=%d|", base, r, seed, len(points))
 	for _, p := range points {
 		fmt.Fprintf(h, "%+v|", p)
 	}
@@ -316,70 +322,4 @@ func (j *SweepJournal) Close() error {
 	err := j.f.Close()
 	j.f = nil
 	return err
-}
-
-// SweepWithJournal is Sweep with crash-safe checkpointing: points
-// already present in the journal are returned without simulation, newly
-// computed points are appended one lockstep group at a time as the
-// groups complete, and the merged results come back in grid order —
-// byte-identical to an uninterrupted run, because every point is a
-// deterministic function of the sweep identity. The second return value
-// is the number of resumed points. j, faults and progress may all be nil
-// (plain sweep); a non-nil progress is called once per freshly simulated
-// point, after its group's journal commit, in completion order from the
-// worker that finished it, feeding live observability (the CLI's
-// -progress ticker) without touching the deterministic grid-order
-// results.
-//
-// Pending points execute through the lockstep batch engine (see
-// lockstep.go in this package): compatible points share one trace
-// generation pass per group, which changes cost, not bytes.
-func SweepWithJournal(ctx context.Context, pool *Pool, base cpu.Config, g *sfg.Graph, points []SweepPoint, r, seed uint64, j *SweepJournal, faults *fault.Injector, progress func(index int, res SweepResult)) ([]SweepResult, int, error) {
-	if pool == nil {
-		pool = NewPool(0)
-		defer pool.Drain(context.Background())
-	}
-	// Concurrent simulations sample the shared graph; freezing makes
-	// those reads immutable (no-op if already frozen by the cache).
-	g.Freeze()
-
-	results := make([]SweepResult, len(points))
-	var pending []int
-	resumed := 0
-	if j != nil {
-		done := j.Done()
-		for i := range points {
-			if m, ok := done[i]; ok {
-				results[i] = SweepResult{Point: points[i], Metrics: m}
-				resumed++
-			} else {
-				pending = append(pending, i)
-			}
-		}
-	} else {
-		pending = make([]int, len(points))
-		for i := range points {
-			pending[i] = i
-		}
-	}
-
-	err := runPendingBatched(ctx, pool, faults, base, g, points, pending, r, seed, func(indices []int, ms []core.Metrics) {
-		for k, i := range indices {
-			results[i] = SweepResult{Point: points[i], Metrics: ms[k]}
-		}
-		if j != nil {
-			// Best-effort: a failed commit only means these points are
-			// recomputed if the sweep is interrupted later.
-			_ = j.AppendBatch(indices, ms)
-		}
-		if progress != nil {
-			for _, i := range indices {
-				progress(i, results[i])
-			}
-		}
-	}, nil)
-	if err != nil {
-		return nil, resumed, err
-	}
-	return results, resumed, nil
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/lockstep"
@@ -27,13 +28,25 @@ func TestSweepFingerprintSensitivity(t *testing.T) {
 	if id != SweepFingerprint(g, base, points, r, seed) {
 		t.Error("fingerprint not deterministic")
 	}
+	// The immediate-update profile of the same stream has the same
+	// shape (k, instructions, blocks, nodes, edges) but other branch
+	// statistics, so other results.
+	w, err := core.LoadWorkload("vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	immediate, err := core.Profile(cpu.DefaultConfig(), w.Stream(1, 0, 20_000), core.ProfileOptions{K: 1, ImmediateUpdate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	other := base
 	other.RUUSize++
 	for name, changed := range map[string]string{
-		"config": SweepFingerprint(g, other, points, r, seed),
-		"points": SweepFingerprint(g, base, points[1:], r, seed),
-		"r":      SweepFingerprint(g, base, points, r+1, seed),
-		"seed":   SweepFingerprint(g, base, points, r, seed+1),
+		"immediate": SweepFingerprint(immediate, base, points, r, seed),
+		"config":    SweepFingerprint(g, other, points, r, seed),
+		"points":    SweepFingerprint(g, base, points[1:], r, seed),
+		"r":         SweepFingerprint(g, base, points, r+1, seed),
+		"seed":      SweepFingerprint(g, base, points, r, seed+1),
 	} {
 		if changed == id {
 			t.Errorf("fingerprint insensitive to %s", name)
@@ -54,7 +67,7 @@ func TestSweepJournalResumeByteIdentical(t *testing.T) {
 	// Uninterrupted serial reference.
 	serial := NewPool(1)
 	defer serial.Drain(context.Background())
-	golden, err := Sweep(context.Background(), serial, base, g, points, r, seed)
+	golden, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Pool: serial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +83,7 @@ func TestSweepJournalResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j1, in, nil); err == nil {
+	if _, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Journal: j1, Faults: in}); err == nil {
 		t.Fatal("interrupted sweep reported success")
 	}
 	j1.Close()
@@ -89,12 +102,12 @@ func TestSweepJournalResumeByteIdentical(t *testing.T) {
 	if j2.Resumed() != survivors {
 		t.Errorf("resumed %d, want %d", j2.Resumed(), survivors)
 	}
-	results, resumed, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j2, nil, nil)
+	results, resumed, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed != survivors {
-		t.Errorf("SweepWithJournal resumed %d, want %d", resumed, survivors)
+		t.Errorf("Sweep resumed %d, want %d", resumed, survivors)
 	}
 	gotJSON, err := json.Marshal(results)
 	if err != nil {
@@ -114,7 +127,7 @@ func TestSweepJournalResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	again, resumed, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j3, nil, nil)
+	again, resumed, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Journal: j3})
 	if err != nil || resumed != len(points) {
 		t.Fatalf("full resume: resumed=%d err=%v", resumed, err)
 	}
@@ -139,7 +152,7 @@ func TestSweepJournalResumeMidCohort(t *testing.T) {
 
 	serial := NewPool(1)
 	defer serial.Drain(context.Background())
-	golden, err := Sweep(context.Background(), serial, base, g, points, r, seed)
+	golden, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Pool: serial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +171,7 @@ func TestSweepJournalResumeMidCohort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SweepWithJournal(context.Background(), one, base, g, points, r, seed, j1, in, nil); err == nil {
+	if _, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Pool: one, Journal: j1, Faults: in}); err == nil {
 		t.Fatal("mid-cohort failures reported success")
 	}
 	j1.Close()
@@ -176,7 +189,7 @@ func TestSweepJournalResumeMidCohort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	results, resumed, err := SweepWithJournal(context.Background(), one, base, g, points, r, seed, j2, nil, nil)
+	results, resumed, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Pool: one, Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +218,7 @@ func TestSweepJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j, nil, nil); err != nil {
+	if _, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Journal: j}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -229,7 +242,7 @@ func TestSweepJournalTornTail(t *testing.T) {
 	if j2.Resumed() != len(points)-1 {
 		t.Errorf("resumed %d, want %d", j2.Resumed(), len(points)-1)
 	}
-	results, _, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j2, nil, nil)
+	results, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Journal: j2})
 	if err != nil || len(results) != len(points) {
 		t.Fatalf("recovery sweep: %d results, err=%v", len(results), err)
 	}
@@ -253,7 +266,7 @@ func TestSweepJournalTruncatedFinalRecordExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, _, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j, nil, nil)
+	golden, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +301,7 @@ func TestSweepJournalTruncatedFinalRecordExhaustive(t *testing.T) {
 			j2.Close()
 			t.Fatalf("cut at byte %d: resumed %d of %d", cut, resumed, len(points))
 		}
-		results, _, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j2, nil, nil)
+		results, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Journal: j2})
 		j2.Close()
 		if err != nil {
 			t.Fatalf("cut at byte %d: recovery sweep failed: %v", cut, err)
@@ -352,7 +365,7 @@ func TestSweepJournalAppendFailureTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := SweepWithJournal(context.Background(), pool, base, g, points, r, seed, j, nil, nil)
+	results, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Pool: pool, Journal: j})
 	if err != nil {
 		t.Fatalf("a failed commit failed the sweep: %v", err)
 	}
@@ -380,7 +393,7 @@ func TestSweepJournalAppendFailureTolerated(t *testing.T) {
 		t.Fatalf("dropped points %v, want exactly one whole group of %v", dropped, groups)
 	}
 
-	again, resumed, err := SweepWithJournal(context.Background(), pool, base, g, points, r, seed, j2, nil, nil)
+	again, resumed, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Pool: pool, Journal: j2})
 	if err != nil || resumed != len(points)-len(dropped) {
 		t.Fatalf("resume: resumed=%d err=%v, want %d", resumed, err, len(points)-len(dropped))
 	}
@@ -391,7 +404,7 @@ func TestSweepJournalAppendFailureTolerated(t *testing.T) {
 	}
 }
 
-// planGroups is the lockstep plan runPendingBatched makes for a whole
+// planGroups is the lockstep plan the local executor makes for a whole
 // grid on a pool of the given width.
 func planGroups(points []SweepPoint, r, seed uint64, workers int) []lockstep.Group {
 	pts := make([]lockstep.Point, len(points))
@@ -410,7 +423,7 @@ func TestSweepJournalDuplicateConflictDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SweepWithJournal(context.Background(), nil, base, g, points, r, seed, j, nil, nil); err != nil {
+	if _, _, err := Sweep(context.Background(), base, g, points, r, seed, SweepOptions{Journal: j}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

@@ -1,12 +1,9 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -222,66 +219,4 @@ func (o *oracle) status() OracleStatus {
 func (s *Server) handleOracleStatus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.oracle.status())
-}
-
-// oracleFilter peels oracle-served points off a sweep's pending list
-// before any executor — local batching or cluster fan-out — sees them,
-// returning the indices still to simulate. Store hits are ground truth:
-// the whole pass's hits land in the journal as one commit (a resumed
-// sweep then serves them without even a store lookup) and count as
-// resumed-equivalent work. Surrogate predictions are estimates: flagged
-// on the result and never journaled. The pass's progress events — both
-// kinds, in pending order — are published after the journal commit.
-// Surrogate serving is additionally suppressed on cluster sub-sweeps
-// (fanout) — the coordinator journals raw metrics from peers as ground
-// truth, so a peer must never answer with an estimate.
-func (s *Server) oracleFilter(ctx context.Context, p sweepParams, pending []int, results []SweepResult, j *SweepJournal, feed *progressFeed) []int {
-	if !s.oracle.enabled() || len(pending) == 0 {
-		return pending
-	}
-	_, span := obs.TracerFromContext(ctx).StartSpan(ctx, "oracle.filter")
-	ri := requestInfo(ctx)
-	var served, hits []int // served: every oracle-answered index; hits: the store's
-	remain := pending[:0]
-	for _, i := range pending {
-		t0 := time.Now()
-		key := oracleKey(p.pkey, p.points[i].Apply(p.base), p.red, p.simSeed)
-		if m, ok := s.oracle.lookup(key); ok {
-			results[i] = SweepResult{Point: p.points[i], Metrics: m, Served: ServedFromStore}
-			p.ledger.record(i, TierStore, "", -1, time.Since(t0).Seconds(), false)
-			served = append(served, i)
-			hits = append(hits, i)
-			continue
-		}
-		if !p.fanout {
-			if est, ok := s.oracle.predict(key); ok {
-				e := est
-				results[i] = SweepResult{Point: p.points[i], Served: ServedFromSurrogate, Estimate: &e}
-				p.ledger.record(i, TierSurrogate, "", -1, time.Since(t0).Seconds(), true)
-				served = append(served, i)
-				continue
-			}
-		}
-		remain = append(remain, i)
-	}
-	storeHits, surrogateHits := len(hits), len(served)-len(hits)
-	s.sweepFromStore.Add(uint64(storeHits))
-	s.sweepFromSurrogate.Add(uint64(surrogateHits))
-	if ri != nil {
-		ri.storeHits.Add(int64(storeHits))
-		ri.surrogateHits.Add(int64(surrogateHits))
-	}
-	if j != nil && len(hits) > 0 {
-		ms := make([]core.Metrics, len(hits))
-		for k, i := range hits {
-			ms[k] = results[i].Metrics
-		}
-		_ = j.AppendBatch(hits, ms)
-	}
-	feed.publishPoints(served, results)
-	span.Annotate("store_hits", strconv.Itoa(storeHits))
-	span.Annotate("surrogate_hits", strconv.Itoa(surrogateHits))
-	span.Annotate("simulate", strconv.Itoa(len(remain)))
-	span.End()
-	return remain
 }

@@ -121,13 +121,15 @@ type SweepResult = service.SweepResult
 // running up to workers simulations concurrently (0 = GOMAXPROCS).
 // Results come back in point order regardless of completion order, and
 // each point's metrics are byte-identical to a serial StatSim loop:
-// the fan-out that makes design-space exploration cheap (§4.6). The
-// statsim CLI's sweep command, the statsimd daemon's /v1/sweep endpoint
-// and the DSE experiment all share this implementation.
+// the fan-out that makes design-space exploration cheap (§4.6). It runs
+// the one sweep engine, service.Sweep, which the statsim CLI's sweep
+// command, the statsimd daemon's /v1/sweep endpoint and the DSE
+// experiment also run.
 func Sweep(ctx context.Context, cfg Config, g *Graph, points []SweepPoint, r, seed uint64, workers int) ([]SweepResult, error) {
 	pool := service.NewPool(workers)
 	defer pool.Drain(context.Background())
-	return service.Sweep(ctx, pool, cfg, g, points, r, seed)
+	results, _, err := service.Sweep(ctx, cfg, g, points, r, seed, service.SweepOptions{Pool: pool})
+	return results, err
 }
 
 // NewSyntheticAddressTrace is NewSyntheticTrace with synthetic
