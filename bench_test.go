@@ -199,28 +199,6 @@ func BenchmarkSweepLockstep16(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "inst/s")
 }
 
-// BenchmarkObsDisabledSimulate measures the simulate path through the
-// observability entry point with a nil recorder — the disabled fast
-// path whose overhead the guard test in overhead_test.go bounds at 5%.
-func BenchmarkObsDisabledSimulate(b *testing.B) {
-	w, _ := LoadWorkload("gzip")
-	cfg := DefaultConfig()
-	g, err := Profile(cfg, w.Stream(1, 0, 100_000), ProfileOptions{K: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := NewSyntheticTrace(g, 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	insts := trace.Collect(src, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.SimulateTraceTraced(nil, cfg, trace.NewSliceSource(insts))
-	}
-	b.ReportMetric(float64(len(insts))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
-}
-
 // oracleBenchStore builds a result store holding the 16-point sweep
 // grid's real simulation results — the state a daemon reaches after one
 // sweep — plus the matching keys in grid order.

@@ -44,9 +44,8 @@ func cmdFidelity(args []string) error {
 
 	pool := service.NewPool(*workers)
 	defer pool.Drain(context.Background())
-	rec := ob.recorder()
-	sp := rec.Start("fidelity")
-	eng, err := fidelity.New(context.Background(), pool, cfg, w, fidelity.Options{
+	ctx, sp := ob.stage(obs.StageFidelity)
+	eng, err := fidelity.New(ctx, pool, cfg, w, fidelity.Options{
 		N:               *n,
 		Interval:        *interval,
 		K:               *k,
@@ -60,7 +59,7 @@ func cmdFidelity(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := eng.Run(context.Background(), pool, cfg)
+	res, err := eng.Run(ctx, pool, cfg)
 	sp.End()
 	if err != nil {
 		return err

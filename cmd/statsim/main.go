@@ -97,11 +97,11 @@ commands:
 Workload selection: every command taking -benchmark also accepts
 -workload-file pointing at a JSON personality (see 'personality').
 
-Observability: eds, profile, simulate, compare and sweep accept
--stats FILE (JSON run manifest: config fingerprint, per-stage
-timings, final metrics) and -trace FILE (raw pipeline spans);
-'-' writes to stdout. Tracing is off — and costs nothing — unless
-one of the two is requested.
+Observability: eds, profile, simulate, compare, sweep and fidelity
+accept -stats FILE (JSON run manifest: config fingerprint, per-stage
+timings, final metrics) and -trace FILE (the run's trace spans:
+pipeline stages under one root span); '-' writes to stdout. Tracing
+is off — and costs nothing — unless one of the two is requested.
 `)
 }
 
@@ -195,7 +195,9 @@ func cmdEDS(args []string) error {
 		return err
 	}
 	cfg := mkCfg()
-	m := core.ReferenceTraced(ob.recorder(), cfg, w.Stream(*seed, 0, *n))
+	_, sp := ob.stage(obs.StageReference)
+	m := core.Reference(cfg, w.Stream(*seed, 0, *n))
+	sp.EndInstructions(m.Instructions)
 	printMetrics(w.Name+"/eds", m)
 	if *power {
 		fmt.Print(m.Power)
@@ -232,11 +234,13 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	cfg := mkCfg()
-	g, err := core.ProfileTraced(ob.recorder(), cfg, w.Stream(*seed, 0, *n),
+	_, sp := ob.stage(obs.StageProfile)
+	g, err := core.Profile(cfg, w.Stream(*seed, 0, *n),
 		core.ProfileOptions{K: *k, ImmediateUpdate: *immediate, Shards: *shards, ShardInterval: *shardInterval})
 	if err != nil {
 		return err
 	}
+	sp.EndInstructions(g.TotalInstructions)
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
@@ -331,7 +335,9 @@ func cmdSimulate(args []string) error {
 		if err != nil {
 			return err
 		}
-		m = core.SimulateTraceTraced(ob.recorder(), cfg, r)
+		_, sp := ob.stage(obs.StageSimulate)
+		m = core.SimulateTrace(cfg, r)
+		sp.EndInstructions(m.Instructions)
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -342,7 +348,7 @@ func cmdSimulate(args []string) error {
 			return err
 		}
 		red = core.ReductionFor(g, *target)
-		if m, err = core.StatSimTraced(ob.recorder(), cfg, g, red, *seed); err != nil {
+		if m, err = core.StatSimTraced(ob.context(), cfg, g, red, *seed); err != nil {
 			return err
 		}
 		printMetrics("statsim", m)
@@ -374,14 +380,17 @@ func cmdCompare(args []string) error {
 		return err
 	}
 	cfg := mkCfg()
-	rec := ob.recorder()
-	eds := core.ReferenceTraced(rec, cfg, w.Stream(*seed, 0, *n))
-	g, err := core.ProfileTraced(rec, cfg, w.Stream(*seed, 0, *n), core.ProfileOptions{K: *k})
+	_, sp := ob.stage(obs.StageReference)
+	eds := core.Reference(cfg, w.Stream(*seed, 0, *n))
+	sp.EndInstructions(eds.Instructions)
+	_, sp = ob.stage(obs.StageProfile)
+	g, err := core.Profile(cfg, w.Stream(*seed, 0, *n), core.ProfileOptions{K: *k})
 	if err != nil {
 		return err
 	}
+	sp.EndInstructions(g.TotalInstructions)
 	red := core.ReductionFor(g, *target)
-	ss, err := core.StatSimTraced(rec, cfg, g, red, *seed)
+	ss, err := core.StatSimTraced(ob.context(), cfg, g, red, *seed)
 	if err != nil {
 		return err
 	}

@@ -138,6 +138,31 @@ func TestCmdSweep(t *testing.T) {
 	if err := cmdSweep([]string{"-profile", prof, "-grid", "quick", "-target", "5000", "-top", "3", "-workers", "2"}); err != nil {
 		t.Fatal(err)
 	}
+	// With -profile the manifest records the saved profile's k and
+	// length, not the ignored -k/-n defaults, and no execution seed.
+	prof2 := filepath.Join(dir, "k2.sfg")
+	if err := cmdProfile([]string{"-benchmark", "vpr", "-k", "2", "-n", "30000", "-o", prof2}); err != nil {
+		t.Fatal(err)
+	}
+	stats := filepath.Join(dir, "sweep.json")
+	if err := cmdSweep([]string{"-profile", prof2, "-grid", "quick", "-target", "5000", "-stats", stats}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man obs.Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatalf("manifest is not valid JSON: %v\n%s", err, raw)
+	}
+	if man.K != 2 || man.StreamLength != 30000 || man.Seed != 0 {
+		t.Errorf("sweep manifest k=%d stream_length=%d seed=%d, want 2, 30000 and unset",
+			man.K, man.StreamLength, man.Seed)
+	}
+	if len(man.Stages) != 1 || man.Stages[0].Name != obs.StageSweep {
+		t.Errorf("sweep manifest stages %+v, want one sweep stage", man.Stages)
+	}
 	if err := cmdSweep([]string{"-benchmark", "vpr", "-grid", "nope"}); err == nil {
 		t.Error("unknown grid accepted")
 	}
@@ -237,15 +262,39 @@ func TestStatsManifestOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var list []obs.SpanData
+	var list []obs.TraceSpan
 	if err := json.Unmarshal(rawSpans, &list); err != nil {
 		t.Fatalf("span list is not valid JSON: %v\n%s", err, rawSpans)
 	}
 	if len(list) == 0 {
 		t.Error("span list is empty")
 	}
+	// One tree: every stage hangs off the invocation's root span (or, for
+	// generate, off simulate), all under the manifest's trace ID.
+	byID := make(map[string]obs.TraceSpan, len(list))
+	for _, sp := range list {
+		byID[sp.SpanID] = sp
+	}
+	for _, sp := range list {
+		if sp.TraceID != man.TraceID {
+			t.Errorf("span %q has trace ID %q, manifest %q", sp.Name, sp.TraceID, man.TraceID)
+		}
+		parent, ok := byID[sp.ParentID]
+		switch {
+		case sp.Name == "statsim compare":
+			if sp.ParentID != "" {
+				t.Errorf("root span has a parent: %+v", sp)
+			}
+		case !ok:
+			t.Errorf("span %q has no parent in the list", sp.Name)
+		case sp.Name == obs.StageGenerate && parent.Name != obs.StageSimulate:
+			t.Errorf("generate under %q, want simulate", parent.Name)
+		case sp.Name != obs.StageGenerate && parent.Name != "statsim compare":
+			t.Errorf("%q under %q, want the root span", sp.Name, parent.Name)
+		}
+	}
 
-	// Without -stats/-trace the commands run on the nil-recorder path.
+	// Without -stats/-trace the commands run with no tracer.
 	if err := cmdEDS([]string{"-benchmark", "vpr", "-n", "5000"}); err != nil {
 		t.Fatal(err)
 	}

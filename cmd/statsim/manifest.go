@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,14 +12,17 @@ import (
 
 // runObs carries the per-command observability outputs: -stats writes
 // a JSON run manifest (config fingerprint, seeds, per-stage timings,
-// final metrics), -trace writes the raw span list. Tracing is enabled
-// only when one of the two outputs is requested — otherwise the
-// pipeline runs with a nil recorder on the zero-overhead path.
+// final metrics), -trace writes the invocation's spans. Tracing is
+// enabled only when one of the two outputs is requested — otherwise the
+// pipeline runs with no tracer on the zero-overhead path.
 type runObs struct {
 	tool      string
 	statsPath string
 	tracePath string
-	rec       *obs.Recorder
+
+	ctx    context.Context // carries tracer and root span once started
+	tracer *obs.Tracer     // nil unless -stats or -trace was given
+	root   obs.ActiveSpan  // the invocation's span, named after the tool
 }
 
 // obsFlags registers -stats and -trace on fs for the named subcommand.
@@ -27,23 +31,30 @@ func obsFlags(fs *flag.FlagSet, tool string) *runObs {
 	fs.StringVar(&o.statsPath, "stats", "",
 		"write a JSON run manifest (config fingerprint, per-stage timings, metrics) to this file, '-' for stdout")
 	fs.StringVar(&o.tracePath, "trace", "",
-		"write the raw pipeline spans as JSON to this file, '-' for stdout")
+		"write the invocation's trace spans as JSON to this file, '-' for stdout")
 	return o
 }
 
-// recorder returns the recorder to thread through the pipeline: nil
-// (disabled) unless -stats or -trace was given. An enabled recorder is
-// stamped with a freshly minted trace ID, so a CLI invocation's
-// manifest carries the same kind of identifier a daemon request does.
-func (o *runObs) recorder() *obs.Recorder {
-	if o.statsPath == "" && o.tracePath == "" {
-		return nil
+// context returns the context the pipeline runs under. The first call
+// starts the invocation's root span, on a tracer stamped with a freshly
+// minted trace ID so a CLI manifest carries the same kind of identifier
+// a daemon request does. Without -stats or -trace the context carries
+// no tracer and every span below it is a no-op.
+func (o *runObs) context() context.Context {
+	if o.ctx == nil {
+		o.ctx = context.Background()
+		if o.statsPath != "" || o.tracePath != "" {
+			o.tracer = obs.NewTracer(obs.NewTraceID(), "local")
+			o.ctx, o.root = o.tracer.StartSpan(obs.WithTracer(o.ctx, o.tracer), o.tool)
+		}
 	}
-	if o.rec == nil {
-		o.rec = obs.New()
-		o.rec.SetTraceID(obs.NewTraceID())
-	}
-	return o.rec
+	return o.ctx
+}
+
+// stage opens a pipeline-stage span under the root span and returns
+// the context under which the stage's own spans nest.
+func (o *runObs) stage(name string) (context.Context, obs.ActiveSpan) {
+	return o.tracer.StartSpan(o.context(), name)
 }
 
 // writeOut writes data to path, honouring the '-' stdout convention.
@@ -62,17 +73,18 @@ func writeOut(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-// finish emits the requested outputs; fill customises the manifest
-// with the command's inputs and final metrics.
+// finish ends the root span and emits the requested outputs; fill
+// customises the manifest with the command's inputs and final metrics.
 func (o *runObs) finish(fill func(*obs.Manifest)) error {
-	if o.rec == nil {
+	if o.tracer == nil {
 		return nil
 	}
+	o.root.End()
 	if o.tracePath != "" {
 		err := writeOut(o.tracePath, func(f *os.File) error {
 			enc := json.NewEncoder(f)
 			enc.SetIndent("", "  ")
-			return enc.Encode(o.rec.Spans())
+			return enc.Encode(o.tracer.Spans())
 		})
 		if err != nil {
 			return fmt.Errorf("writing -trace: %w", err)
@@ -80,7 +92,7 @@ func (o *runObs) finish(fill func(*obs.Manifest)) error {
 	}
 	if o.statsPath != "" {
 		m := obs.NewManifest(o.tool)
-		m.FillStages(o.rec)
+		m.FillStages(o.tracer)
 		if fill != nil {
 			fill(&m)
 		}

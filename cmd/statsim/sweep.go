@@ -48,7 +48,6 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	rec := ob.recorder()
 	var g *sfg.Graph
 	if *prof != "" {
 		if g, err = loadProfile(*prof); err != nil {
@@ -59,9 +58,11 @@ func cmdSweep(args []string) error {
 		if err != nil {
 			return err
 		}
-		if g, err = core.ProfileTraced(rec, mkCfg(), w.Stream(*seed, 0, *n), core.ProfileOptions{K: *k, Shards: *shards}); err != nil {
+		_, sp := ob.stage(obs.StageProfile)
+		if g, err = core.Profile(mkCfg(), w.Stream(*seed, 0, *n), core.ProfileOptions{K: *k, Shards: *shards}); err != nil {
 			return err
 		}
+		sp.EndInstructions(g.TotalInstructions)
 	}
 
 	red := core.ReductionFor(g, *target)
@@ -98,9 +99,10 @@ func cmdSweep(args []string) error {
 	pool := service.NewPool(*workers)
 	defer pool.Drain(context.Background())
 	// The sweep interleaves reduce/generate/simulate per point across
-	// workers; one aggregate span is the honest attribution.
-	sp := rec.Start("sweep")
-	results, resumed, err := service.Sweep(context.Background(), mkCfg(), g, points, red, *simSeed,
+	// workers; one aggregate stage is the honest attribution. The
+	// engine's own spans (oracle passes, cohorts) nest below it.
+	ctx, sp := ob.stage(obs.StageSweep)
+	results, resumed, err := service.Sweep(ctx, mkCfg(), g, points, red, *simSeed,
 		service.SweepOptions{Pool: pool, Journal: j, Progress: progressFn})
 	sp.End()
 	if err != nil {
@@ -131,11 +133,13 @@ func cmdSweep(args []string) error {
 		results[best].Point, results[best].Metrics.EDP(), len(results))
 	return ob.finish(func(man *obs.Manifest) {
 		man.ConfigFingerprint = obs.Fingerprint(mkCfg())
-		man.Seed = *seed
-		man.K = *k
+		if *prof == "" {
+			man.Seed = *seed // a saved profile does not record its seed
+		}
+		man.K = g.K
 		man.SimSeed = *simSeed
 		man.Reduction = red
-		man.StreamLength = *n
+		man.StreamLength = g.TotalInstructions
 		man.NumWorkers = *workers
 	})
 }

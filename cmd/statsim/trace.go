@@ -63,7 +63,8 @@ func cmdTrace(args []string) error {
 }
 
 // printTraceTree renders the tree indented, one span per line:
-// duration, name, node, then the attributes sorted by key. Multiple
+// duration, name, node, a stage's instruction count, then the
+// attributes sorted by key. Multiple
 // roots (a partial tree from a late peer slice) render sequentially.
 func printTraceTree(tree *obs.TraceTree) {
 	fmt.Printf("trace %s: %d spans across %d node(s)", tree.TraceID, tree.Spans, len(tree.Nodes))
@@ -84,6 +85,9 @@ func printTraceNode(n *obs.TraceNode, depth int) {
 	line := fmt.Sprintf("%s%-9s %s", strings.Repeat("  ", depth), d, n.Name)
 	if n.Node != "" {
 		line += "  @" + n.Node
+	}
+	if n.Instructions > 0 {
+		line += fmt.Sprintf("  insts=%d", n.Instructions)
 	}
 	if len(n.Attrs) > 0 {
 		keys := make([]string, 0, len(n.Attrs))

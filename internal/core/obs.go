@@ -1,88 +1,42 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/sfg"
 	"repro/internal/synth"
-	"repro/internal/trace"
 )
 
-// This file threads the observability layer through the pipeline.
-// Every plain entry point (Profile, StatSim, ...) delegates here with a
-// nil recorder; a nil *obs.Recorder costs a pointer comparison per
-// stage boundary, so the un-traced paths stay on the fast path (see the
-// overhead guard test in the repo root).
-
-// ProfileTraced is Profile with span recording: one StageProfile span
-// covering the whole statistical profiling pass, attributed with the
-// profiled stream length.
-func ProfileTraced(rec *obs.Recorder, cfg cpu.Config, src trace.Source, opts ProfileOptions) (*sfg.Graph, error) {
-	sp := rec.Start(obs.StageProfile)
-	g, err := Profile(cfg, src, opts)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.EndInstructions(g.TotalInstructions)
-	return g, nil
-}
-
-// ReferenceTraced is Reference with a StageReference span.
-func ReferenceTraced(rec *obs.Recorder, cfg cpu.Config, src trace.Source) Metrics {
-	sp := rec.Start(obs.StageReference)
-	m := Reference(cfg, src)
-	sp.EndInstructions(m.Instructions)
-	return m
-}
-
-// StatSimTraced is StatSim with per-stage spans: StageReduce around
-// graph reduction, and — because the synthetic trace is generated
-// lazily, interleaved with simulation — a wall-clock StageSimulate span
-// from which the time spent inside the generator is carved out into a
-// StageGenerate span. The two are additive: generate + simulate = the
-// wall time of the combined phase. With a nil recorder the trace source
-// is not wrapped and the computation is identical to StatSim.
-func StatSimTraced(rec *obs.Recorder, cfg cpu.Config, g *sfg.Graph, r uint64, seed uint64) (Metrics, error) {
-	if rec == nil {
+// StatSimTraced is StatSim with stage spans on the context's tracer:
+// StageReduce around graph reduction and StageSimulate around the
+// simulation. The synthetic trace is generated lazily, inside the
+// simulation loop, so an obs.TimedSource times the generator and its
+// time is recorded as a StageGenerate child of the simulate span. Only
+// core can split generation out of simulation, so this is the one
+// stage-aware entry point; callers time the other stages with ordinary
+// spans. With no tracer it is plain StatSim on an unwrapped source.
+func StatSimTraced(ctx context.Context, cfg cpu.Config, g *sfg.Graph, r uint64, seed uint64) (Metrics, error) {
+	tr := obs.TracerFromContext(ctx)
+	if tr == nil {
 		return StatSim(cfg, g, r, seed)
 	}
-	reduceSp := rec.Start(obs.StageReduce)
+	_, reduce := tr.StartSpan(ctx, obs.StageReduce)
 	red, err := synth.Reduce(g, synth.Options{R: r, Seed: seed})
+	reduce.End()
 	if err != nil {
-		reduceSp.End()
 		return Metrics{}, err
 	}
-	reduceSp.End()
 
 	timed := obs.NewTimedSource(red.NewTrace(seed))
-	start := rec.Offset()
-	t0 := time.Now()
+	simCtx, sim := tr.StartSpan(ctx, obs.StageSimulate)
+	start := time.Now()
 	m := SimulateTrace(cfg, timed)
-	total := time.Since(t0)
-
-	// Make the stages additive: the generator's time is carved out of
-	// the combined wall-clock interval, leaving pure simulation time.
-	gen := timed.Span(obs.StageGenerate)
-	gen.StartOffsetS = start
-	rec.Record(gen)
-	rec.Record(obs.SpanData{
-		Name:         obs.StageSimulate,
-		StartOffsetS: start,
-		DurationS:    (total - timed.Duration()).Seconds(),
-		Instructions: m.Instructions,
-	})
+	tr.Record(simCtx, obs.StageGenerate, start, timed.Duration(), timed.Instructions())
+	sim.EndInstructions(m.Instructions)
 	return m, nil
-}
-
-// SimulateTraceTraced is SimulateTrace with a StageSimulate span.
-func SimulateTraceTraced(rec *obs.Recorder, cfg cpu.Config, src trace.Source) Metrics {
-	sp := rec.Start(obs.StageSimulate)
-	m := SimulateTrace(cfg, src)
-	sp.EndInstructions(m.Instructions)
-	return m
 }
 
 // ManifestMetrics converts final metrics into the manifest wire form.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -9,10 +10,10 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTracedMatchesUntraced pins the central obs contract: threading a
-// recorder through the pipeline observes timings but never perturbs
-// the simulation — traced and untraced runs yield byte-identical
-// metrics.
+// TestTracedMatchesUntraced pins the central obs contract: recording
+// stage spans observes timings but never perturbs the simulation —
+// traced and untraced runs yield byte-identical metrics — and each
+// stage span carries the instructions it processed.
 func TestTracedMatchesUntraced(t *testing.T) {
 	w, err := LoadWorkload("gzip")
 	if err != nil {
@@ -21,18 +22,21 @@ func TestTracedMatchesUntraced(t *testing.T) {
 	cfg := cpu.DefaultConfig()
 	const n = 20_000
 
-	rec := obs.New()
-	gTraced, err := ProfileTraced(rec, cfg, w.Stream(1, 0, n), ProfileOptions{K: 1})
+	tr := obs.NewTracer("t", "local")
+	ctx := obs.WithTracer(context.Background(), tr)
+	_, sp := tr.StartSpan(ctx, obs.StageProfile)
+	gTraced, err := Profile(cfg, w.Stream(1, 0, n), ProfileOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp.EndInstructions(gTraced.TotalInstructions)
 	gPlain, err := Profile(cfg, w.Stream(1, 0, n), ProfileOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	r := ReductionFor(gPlain, 5_000)
-	mTraced, err := StatSimTraced(rec, cfg, gTraced, r, 1)
+	mTraced, err := StatSimTraced(ctx, cfg, gTraced, r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +51,13 @@ func TestTracedMatchesUntraced(t *testing.T) {
 		t.Fatalf("traced and untraced metrics differ:\n%s\n%s", bt, bp)
 	}
 
-	totals := rec.StageTotals()
+	totals := make(map[string]obs.StageTiming)
+	for _, st := range tr.Stages() {
+		totals[st.Name] = st
+	}
 	for _, stage := range []string{obs.StageProfile, obs.StageReduce, obs.StageGenerate, obs.StageSimulate} {
 		if _, ok := totals[stage]; !ok {
-			t.Errorf("stage %q missing from recorder (have %v)", stage, totals)
+			t.Errorf("stage %q missing from tracer (have %v)", stage, totals)
 		}
 	}
 	if got := totals[obs.StageProfile].Instructions; got != gTraced.TotalInstructions {
@@ -62,26 +69,45 @@ func TestTracedMatchesUntraced(t *testing.T) {
 	if totals[obs.StageGenerate].Instructions == 0 {
 		t.Error("generate span carries no instructions")
 	}
+	// generate is recorded under simulate, so simulate's self time
+	// excludes it.
+	spans := tr.Spans()
+	ids := make(map[string]string, len(spans))
+	for _, s := range spans {
+		ids[s.SpanID] = s.Name
+	}
+	for _, s := range spans {
+		if s.Name == obs.StageGenerate && ids[s.ParentID] != obs.StageSimulate {
+			t.Errorf("generate span's parent is %q, want simulate", ids[s.ParentID])
+		}
+	}
 }
 
-// TestTracedNilRecorder pins that every traced entry point accepts a
-// nil recorder (the disabled fast path the CLI default uses).
+// TestTracedNilRecorder pins that the traced entry point runs without a
+// span recorder (no tracer in the context), the disabled fast path the
+// CLI default uses, and then computes plain StatSim.
 func TestTracedNilRecorder(t *testing.T) {
 	w, err := LoadWorkload("vpr")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cpu.DefaultConfig()
-	g, err := ProfileTraced(nil, cfg, w.Stream(1, 0, 10_000), ProfileOptions{K: 1})
+	g, err := Profile(cfg, w.Stream(1, 0, 10_000), ProfileOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StatSimTraced(nil, cfg, g, ReductionFor(g, 2_000), 1); err != nil {
+	r := ReductionFor(g, 2_000)
+	traced, err := StatSimTraced(context.Background(), cfg, g, r, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := ReferenceTraced(nil, cfg, w.Stream(1, 0, 5_000))
-	if m.Instructions == 0 {
-		t.Fatal("reference simulated nothing")
+	plain, err := StatSim(cfg, g, r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.Instructions == 0 || traced.Cycles != plain.Cycles || traced.Instructions != plain.Instructions {
+		t.Fatalf("untraced StatSimTraced %d insts/%d cycles, StatSim %d/%d",
+			traced.Instructions, traced.Cycles, plain.Instructions, plain.Cycles)
 	}
 }
 

@@ -19,7 +19,8 @@ type RequestEvent struct {
 
 	DurationMS float64 `json:"duration_ms"`
 	// StageMS breaks the request down by pipeline stage (profile,
-	// reduce, generate, simulate) when a recorder ran.
+	// reduce, generate, simulate): the self times Tracer.Stages reports
+	// for the stages this node ran.
 	StageMS map[string]float64 `json:"stage_ms,omitempty"`
 
 	// Provenance and degradation outcomes.
@@ -61,7 +62,7 @@ type RequestEvent struct {
 // FlightRecorder keeps the last N request events in a fixed-size ring.
 // It is the daemon's black box: always on, bounded memory, readable at
 // GET /v1/debug/requests and dumped to the log when something goes
-// badly wrong (a shed storm, a worker panic). Like Recorder, a nil
+// badly wrong (a shed storm, a worker panic). Like Tracer, a nil
 // *FlightRecorder is a valid disabled instance — every method no-ops —
 // and the critical section is a single slot copy, so recording costs a
 // short uncontended lock, never an allocation after construction.

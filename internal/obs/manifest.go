@@ -130,36 +130,66 @@ func NewManifest(tool string) Manifest {
 	}
 }
 
-// FillStages folds a recorder's spans into per-stage aggregate timings
-// in pipeline order (profile, reduce, generate, simulate, reference,
-// then anything else alphabetically-stable by first appearance).
-func (m *Manifest) FillStages(rec *Recorder) {
-	if rec == nil {
+// FillStages sets the manifest's stage timings (Tracer.Stages) and its
+// wall time, their sum, and stamps the tracer's trace ID unless the
+// manifest already carries one. A nil tracer leaves the manifest as is.
+func (m *Manifest) FillStages(t *Tracer) {
+	if t == nil {
 		return
 	}
 	if m.TraceID == "" {
-		m.TraceID = rec.TraceID()
+		m.TraceID = t.TraceID()
 	}
-	totals := rec.StageTotals()
-	order := []string{StageProfile, StageReduce, StageGenerate, StageSimulate, StageReference}
-	seen := make(map[string]bool, len(order))
-	emit := func(name string) {
-		t, ok := totals[name]
-		if !ok || seen[name] {
-			return
+	m.Stages = t.Stages()
+	for _, st := range m.Stages {
+		m.WallTimeS += st.DurationS
+	}
+}
+
+// Stages folds the tracer's stage spans into per-stage timings in
+// pipeline order: summed instructions and summed self time, a span's
+// duration less that of the stage spans directly under it, so nested
+// stages (generate inside simulate) add up to the wall time of the
+// outer one instead of counting it twice. Only spans stamped with this
+// tracer's node count: a fanout peer's imported stages count on the
+// peer. This is the one place stage time is computed; manifests, the
+// daemon's stage families and flight-recorder events all read it. Nil
+// on a nil tracer or when no stage ran.
+func (t *Tracer) Stages() []StageTiming {
+	if t == nil {
+		return nil
+	}
+	var sum [len(stageOrder)]StageTiming
+	t.mu.Lock()
+	stageOf := make(map[string]int) // span ID -> stage, for this node's stage spans
+	for _, sp := range t.spans {
+		if s := stageIndex(sp.Name); s >= 0 && sp.Node == t.node {
+			stageOf[sp.SpanID] = s
+			sum[s].Name = sp.Name
+			sum[s].DurationS += sp.DurationS
+			sum[s].Instructions += sp.Instructions
 		}
-		seen[name] = true
-		st := StageTiming{Name: name, DurationS: t.DurationS, Instructions: t.Instructions}
-		st.InstPerSec = t.InstPerSec()
-		m.Stages = append(m.Stages, st)
-		m.WallTimeS += t.DurationS
 	}
-	for _, name := range order {
-		emit(name)
+	for _, sp := range t.spans {
+		if p, ok := stageOf[sp.ParentID]; ok && stageIndex(sp.Name) >= 0 && sp.Node == t.node {
+			sum[p].DurationS -= sp.DurationS
+		}
 	}
-	for _, s := range rec.Spans() { // preserve first-appearance order for extras
-		emit(s.Name)
+	t.mu.Unlock()
+	if len(stageOf) == 0 {
+		return nil
 	}
+	out := make([]StageTiming, 0, len(sum))
+	for _, st := range sum {
+		if st.Name == "" {
+			continue // the stage did not run
+		}
+		if st.Instructions > 0 && st.DurationS > 0 {
+			st.InstPerSec = float64(st.Instructions) / st.DurationS
+		}
+		out = append(out, st)
+	}
+	return out
 }
 
 // WriteJSON writes the manifest as indented JSON.

@@ -1,194 +1,47 @@
 // Package obs is the observability layer of the statistical
-// simulation pipeline: lightweight wall-clock spans around the
-// profile → reduce → generate → simulate stages, and the run manifest
-// that makes a measurement reproducible (config fingerprint, seeds,
-// per-stage timings, final metrics).
+// simulation pipeline: one hierarchical span system (Tracer) that
+// records the profile → reduce → generate → simulate stages alongside
+// every other span a request or CLI invocation produces, the stage
+// timings derived from those spans, and the run manifest that makes a
+// measurement reproducible (config fingerprint, seeds, per-stage
+// timings, final metrics).
 //
 // The design constraint is that observability must cost nothing when
-// it is off: every front end threads a *Recorder through the pipeline,
-// and a nil *Recorder is the disabled state. Span start/end on a nil
-// recorder is a single pointer comparison — no allocation, no clock
-// read, no atomic — so the hot simulate path pays (measurably, see the
-// overhead guard test in the repo root) under 5% with tracing
+// it is off: a nil *Tracer is the disabled state. Starting and ending a
+// span on a nil tracer is a single pointer comparison — no allocation,
+// no clock read, no lock — so the hot simulate path pays (measurably,
+// see the overhead guard test in the repo root) under 5% with tracing
 // disabled. The per-cycle pipeline counters (cpu.PipeStats) are
 // deliberately NOT part of this package: they are plain deterministic
 // counters that belong to the simulation result itself and are always
 // on.
 package obs
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
-
 // Stage names shared by every front end, so the CLI manifest, the
 // daemon's /metrics stage families and the experiment manifests all
-// speak the same vocabulary.
+// speak the same vocabulary. A span with one of these names is a stage
+// span; stageOrder lists them in pipeline order, the order stage
+// timings are reported in.
 const (
 	StageProfile   = "profile"   // statistical profiling into an SFG
 	StageReduce    = "reduce"    // graph reduction by factor R
 	StageGenerate  = "generate"  // synthetic trace generation (stochastic walk)
 	StageSimulate  = "simulate"  // trace-driven timing simulation
 	StageReference = "reference" // execution-driven reference simulation
+	StageSweep     = "sweep"     // a whole CLI design-space sweep
+	StageFidelity  = "fidelity"  // a whole CLI adaptive-fidelity run
 )
 
-// SpanData is one completed span: a named stage with its wall-clock
-// duration and, where meaningful, the number of instructions the stage
-// processed (committed instructions for simulation stages, stream
-// length for profiling).
-type SpanData struct {
-	Name         string  `json:"name"`
-	StartOffsetS float64 `json:"start_offset_s"` // seconds since the recorder was created
-	DurationS    float64 `json:"duration_s"`
-	Instructions uint64  `json:"instructions,omitempty"`
-}
+var stageOrder = [...]string{StageProfile, StageReduce, StageGenerate,
+	StageSimulate, StageReference, StageSweep, StageFidelity}
 
-// InstPerSec returns the stage's instruction throughput (0 when the
-// span carries no instruction count or no measurable duration).
-func (s SpanData) InstPerSec() float64 {
-	if s.Instructions == 0 || s.DurationS <= 0 {
-		return 0
+// stageIndex returns the name's position in stageOrder, or -1 for a
+// span that is not a stage.
+func stageIndex(name string) int {
+	for i, s := range stageOrder {
+		if s == name {
+			return i
+		}
 	}
-	return float64(s.Instructions) / s.DurationS
-}
-
-// Recorder collects spans. It is safe for concurrent use (the sweep
-// engine records from many workers), and a nil *Recorder is a valid,
-// zero-overhead disabled recorder: every method no-ops.
-type Recorder struct {
-	start time.Time
-	now   func() time.Time // injectable clock for tests
-
-	mu      sync.Mutex
-	traceID string
-	spans   []SpanData
-}
-
-// New returns an enabled recorder.
-func New() *Recorder {
-	return &Recorder{start: time.Now(), now: time.Now}
-}
-
-// newWithClock is the test constructor: spans are timed with the given
-// clock instead of time.Now.
-func newWithClock(clock func() time.Time) *Recorder {
-	return &Recorder{start: clock(), now: clock}
-}
-
-// Enabled reports whether spans are being collected.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// SetTraceID associates the recorder (and everything derived from it:
-// manifests, stage metrics, log lines) with a request's trace ID. A
-// no-op on a nil recorder.
-func (r *Recorder) SetTraceID(id string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.traceID = id
-	r.mu.Unlock()
-}
-
-// TraceID returns the associated trace ID ("" on a nil recorder or when
-// none was set).
-func (r *Recorder) TraceID() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.traceID
-}
-
-// Span is an in-flight span. It is a small value (not a pointer) so
-// starting a span on a disabled recorder allocates nothing.
-type Span struct {
-	rec   *Recorder
-	name  string
-	start time.Time
-}
-
-// Start begins a span. On a nil recorder it returns the zero Span,
-// whose End is a no-op.
-func (r *Recorder) Start(name string) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{rec: r, name: name, start: r.now()}
-}
-
-// End completes the span with no instruction count.
-func (s Span) End() { s.EndInstructions(0) }
-
-// EndInstructions completes the span, attributing the given number of
-// processed instructions to it.
-func (s Span) EndInstructions(instructions uint64) {
-	if s.rec == nil {
-		return
-	}
-	end := s.rec.now()
-	s.rec.record(SpanData{
-		Name:         s.name,
-		StartOffsetS: s.start.Sub(s.rec.start).Seconds(),
-		DurationS:    end.Sub(s.start).Seconds(),
-		Instructions: instructions,
-	})
-}
-
-// Offset returns the seconds elapsed since the recorder was created
-// (0 on a nil recorder) — the start offset for externally timed spans.
-func (r *Recorder) Offset() float64 {
-	if r == nil {
-		return 0
-	}
-	return r.now().Sub(r.start).Seconds()
-}
-
-// Record appends an externally timed span — used when a stage's time
-// is accounted out-of-band (e.g. a TimedSource attributing generation
-// time out of a simulation span).
-func (r *Recorder) Record(d SpanData) {
-	if r == nil {
-		return
-	}
-	r.record(d)
-}
-
-func (r *Recorder) record(d SpanData) {
-	r.mu.Lock()
-	r.spans = append(r.spans, d)
-	r.mu.Unlock()
-}
-
-// Spans returns a copy of the collected spans in start order
-// (recording order for spans that share a start offset). On a nil
-// recorder it returns nil.
-func (r *Recorder) Spans() []SpanData {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := append([]SpanData(nil), r.spans...)
-	r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].StartOffsetS < out[j].StartOffsetS })
-	return out
-}
-
-// StageTotals aggregates the collected spans per stage name: summed
-// duration and instructions. On a nil recorder it returns nil.
-func (r *Recorder) StageTotals() map[string]SpanData {
-	if r == nil {
-		return nil
-	}
-	totals := make(map[string]SpanData)
-	for _, s := range r.Spans() {
-		t := totals[s.Name]
-		t.Name = s.Name
-		t.DurationS += s.DurationS
-		t.Instructions += s.Instructions
-		totals[s.Name] = t
-	}
-	return totals
+	return -1
 }

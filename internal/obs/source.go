@@ -10,8 +10,8 @@ import (
 // spent inside Next — the synthetic-trace generator runs lazily,
 // interleaved with simulation, so this is how generation time is
 // separated from pure timing-simulation time when tracing is enabled.
-// Wrap only when a recorder is live: the per-instruction clock reads
-// are exactly the overhead the disabled path avoids.
+// Wrap only when a tracer is live: the per-instruction clock reads are
+// exactly the overhead the disabled path avoids.
 type TimedSource struct {
 	Src trace.Source
 
@@ -51,12 +51,6 @@ func (t *TimedSource) NextBatch(dst []trace.DynInst) int {
 	t.dur += t.now().Sub(start)
 	t.insts += uint64(n)
 	return n
-}
-
-// Span returns the accumulated generation span (start offset is left
-// zero; callers place it with Recorder.Record).
-func (t *TimedSource) Span(name string) SpanData {
-	return SpanData{Name: name, DurationS: t.dur.Seconds(), Instructions: t.insts}
 }
 
 // Instructions returns the number of instructions delivered so far.

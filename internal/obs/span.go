@@ -10,20 +10,21 @@ import (
 	"time"
 )
 
-// Hierarchical spans extend the flat per-request stage recorder with
-// child-of semantics that survive the cluster wire: every span carries
-// its own ID and its parent's, the parent ID propagates to peers in a
-// header next to X-Request-Id, and peers ship their span slices back
-// piggybacked on sub-sweep responses. Assembling the slices from every
-// node that touched a request yields one coherent tree — coordinator
-// partitioning, peer sub-sweeps, graph fetches, lockstep cohorts,
-// fidelity escalations and oracle decisions, each attributed to the
-// node that did the work.
+// Hierarchical spans are the one span system: pipeline stages, and
+// everything around them, are spans with child-of semantics that
+// survive the cluster wire. Every span carries its own ID and its
+// parent's, the parent ID propagates to peers in a header next to
+// X-Request-Id, and peers ship their span slices back piggybacked on
+// sub-sweep responses. Assembling the slices from every node that
+// touched a request yields one coherent tree — pipeline stages,
+// coordinator partitioning, peer sub-sweeps, graph fetches, lockstep
+// cohorts, fidelity escalations and oracle decisions, each attributed
+// to the node that did the work.
 //
-// Like Recorder and FlightRecorder, a nil *Tracer is the valid disabled
-// instance: StartSpan on a nil tracer returns a zero ActiveSpan whose
-// Annotate and End are no-ops and allocates nothing, so library callers
-// (CLI, tests, benchmarks) pay nothing when tracing is off.
+// Like FlightRecorder, a nil *Tracer is the valid disabled instance:
+// StartSpan on a nil tracer returns a zero ActiveSpan whose Annotate,
+// End and EndInstructions are no-ops and allocates nothing, so library
+// callers (CLI, tests, benchmarks) pay nothing when tracing is off.
 
 // TraceSpan is one completed span on the wire and in the trace store.
 type TraceSpan struct {
@@ -32,11 +33,15 @@ type TraceSpan struct {
 	ParentID string `json:"parent_id,omitempty"`
 	Name     string `json:"name"`
 	// Node names the daemon that executed the span — the coordinator's
-	// advertised URL or "local" on an unclustered node.
-	Node        string            `json:"node,omitempty"`
-	StartUnixNS int64             `json:"start_unix_ns"`
-	DurationS   float64           `json:"duration_s"`
-	Attrs       map[string]string `json:"attrs,omitempty"`
+	// advertised URL, or "local" on an unclustered node and in the CLI.
+	Node        string  `json:"node,omitempty"`
+	StartUnixNS int64   `json:"start_unix_ns"`
+	DurationS   float64 `json:"duration_s"`
+	// Instructions is the number of instructions a stage span processed
+	// (committed instructions for simulation stages, stream length for
+	// profiling); zero on every other span.
+	Instructions uint64            `json:"instructions,omitempty"`
+	Attrs        map[string]string `json:"attrs,omitempty"`
 }
 
 // spanIDSeq backs the fallback span ID when the random source fails.
@@ -161,27 +166,55 @@ func (s *ActiveSpan) Annotate(k, v string) {
 
 // End closes the span and records it on its tracer. No-op on the zero
 // span. End is not idempotent-checked; call it exactly once.
-func (s *ActiveSpan) End() {
+func (s *ActiveSpan) End() { s.EndInstructions(0) }
+
+// EndInstructions is End for a stage span, attributing the number of
+// instructions the stage processed to it.
+func (s *ActiveSpan) EndInstructions(instructions uint64) {
 	if s.t == nil {
 		return
 	}
-	span := TraceSpan{
-		TraceID:     s.t.traceID,
-		SpanID:      s.id,
-		ParentID:    s.parent,
-		Name:        s.name,
-		Node:        s.t.node,
-		StartUnixNS: s.start.UnixNano(),
-		DurationS:   time.Since(s.start).Seconds(),
-		Attrs:       s.attrs,
+	s.t.add(TraceSpan{
+		TraceID:      s.t.traceID,
+		SpanID:       s.id,
+		ParentID:     s.parent,
+		Name:         s.name,
+		Node:         s.t.node,
+		StartUnixNS:  s.start.UnixNano(),
+		DurationS:    time.Since(s.start).Seconds(),
+		Instructions: instructions,
+		Attrs:        s.attrs,
+	})
+}
+
+// Record adds an externally timed span as a child of the context's
+// current span: a stage whose time accumulates in pieces rather than
+// in one interval, such as generation interleaved with simulation and
+// timed by a TimedSource. No-op on a nil tracer.
+func (t *Tracer) Record(ctx context.Context, name string, start time.Time, d time.Duration, instructions uint64) {
+	if t == nil {
+		return
 	}
-	s.t.mu.Lock()
-	if len(s.t.spans) < maxSpansPerTrace {
-		s.t.spans = append(s.t.spans, span)
+	t.add(TraceSpan{
+		TraceID:      t.traceID,
+		SpanID:       NewSpanID(),
+		ParentID:     SpanIDFromContext(ctx),
+		Name:         name,
+		Node:         t.node,
+		StartUnixNS:  start.UnixNano(),
+		DurationS:    d.Seconds(),
+		Instructions: instructions,
+	})
+}
+
+func (t *Tracer) add(span TraceSpan) {
+	t.mu.Lock()
+	if len(t.spans) < maxSpansPerTrace {
+		t.spans = append(t.spans, span)
 	} else {
-		s.t.dropped++
+		t.dropped++
 	}
-	s.t.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // Import merges spans another node shipped back (a peer's sub-sweep

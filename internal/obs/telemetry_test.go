@@ -57,25 +57,22 @@ func TestTraceIDContextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecorderTraceID pins how a manifest takes its trace ID from the
+// span recorder (the tracer) that timed its stages.
 func TestRecorderTraceID(t *testing.T) {
-	var nilRec *Recorder
-	nilRec.SetTraceID("x") // must not panic
-	if nilRec.TraceID() != "" {
-		t.Error("nil recorder returned a trace ID")
+	var nilTr *Tracer
+	if nilTr.TraceID() != "" {
+		t.Error("nil tracer returned a trace ID")
 	}
-	rec := New()
-	rec.SetTraceID("abc")
-	if rec.TraceID() != "abc" {
-		t.Errorf("trace ID %q, want abc", rec.TraceID())
-	}
+	tr := NewTracer("abc", "local")
 	var m Manifest
-	m.FillStages(rec)
+	m.FillStages(tr)
 	if m.TraceID != "abc" {
 		t.Errorf("manifest trace ID %q, want abc", m.TraceID)
 	}
-	// An explicitly set manifest ID wins over the recorder's.
+	// An explicitly set manifest ID wins over the tracer's.
 	m2 := Manifest{TraceID: "explicit"}
-	m2.FillStages(rec)
+	m2.FillStages(tr)
 	if m2.TraceID != "explicit" {
 		t.Errorf("manifest trace ID %q, want explicit", m2.TraceID)
 	}

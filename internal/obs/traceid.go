@@ -11,7 +11,7 @@ import (
 // through the daemon: minted (or accepted from the client's
 // X-Request-Id) at the HTTP boundary, carried via context.Context
 // through the pool, retry, cache, store and sweep machinery, and
-// stamped into structured log lines, flight-recorder events, recorder
+// stamped into structured log lines, flight-recorder events, trace
 // spans and run manifests. Correlating one slow sweep across all of
 // those surfaces is a grep for one string.
 

@@ -315,7 +315,6 @@ func badRequest(format string, args ...any) *apiError {
 // through every layer. Fields are atomics because sweep workers and the
 // singleflight fill touch them concurrently with the handler goroutine.
 type reqInfo struct {
-	rec      *obs.Recorder
 	cacheHit atomic.Bool
 	retries  atomic.Uint64
 	resumed  atomic.Int64
@@ -348,15 +347,6 @@ func withReqInfo(ctx context.Context, ri *reqInfo) context.Context {
 func requestInfo(ctx context.Context) *reqInfo {
 	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
 	return ri
-}
-
-// requestRecorder returns the request's span recorder. nil (a valid,
-// zero-overhead disabled recorder) outside an instrumented request.
-func requestRecorder(ctx context.Context) *obs.Recorder {
-	if ri := requestInfo(ctx); ri != nil {
-		return ri.rec
-	}
-	return nil
 }
 
 // retryRun applies the server's retry policy with per-request
@@ -392,9 +382,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 			traceID = obs.NewTraceID()
 		}
 		w.Header().Set("X-Request-Id", traceID)
-		rec := obs.New()
-		rec.SetTraceID(traceID)
-		ri := &reqInfo{rec: rec}
+		ri := &reqInfo{}
 		tracer := obs.NewTracer(traceID, s.node)
 		ctx := withReqInfo(obs.WithTraceID(r.Context(), traceID), ri)
 		ctx, root := tracer.StartSpan(obs.WithTracer(ctx, tracer), "http "+name)
@@ -403,7 +391,8 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		resp, err := h(w, r)
 		elapsed := time.Since(start)
 		hist.Observe(elapsed, err != nil)
-		s.metrics.ObserveStages(rec)
+		stages := tracer.Stages()
+		s.metrics.ObserveStages(stages)
 
 		w.Header().Set("Content-Type", "application/json")
 		code := http.StatusOK
@@ -431,7 +420,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		root.End()
 		spans := tracer.Spans()
 		s.traces.Add(traceID, spans)
-		s.finishRequest(name, traceID, ri, code, elapsed, len(spans), err)
+		s.finishRequest(name, traceID, ri, code, elapsed, len(spans), stages, err)
 	}
 }
 
@@ -439,7 +428,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 // the flight-recorder event, the structured log line, and the decision
 // whether this request's outcome (a shed burst, a worker panic)
 // warrants dumping the flight recorder into the log.
-func (s *Server) finishRequest(name, traceID string, ri *reqInfo, code int, elapsed time.Duration, spans int, err error) {
+func (s *Server) finishRequest(name, traceID string, ri *reqInfo, code int, elapsed time.Duration, spans int, stages []obs.StageTiming, err error) {
 	ev := obs.RequestEvent{
 		Time:       time.Now(),
 		TraceID:    traceID,
@@ -463,10 +452,10 @@ func (s *Server) finishRequest(name, traceID string, ri *reqInfo, code int, elap
 	if peer, ok := ri.remotePeer.Load().(string); ok {
 		ev.Peer = peer
 	}
-	if totals := ri.rec.StageTotals(); len(totals) > 0 {
-		ev.StageMS = make(map[string]float64, len(totals))
-		for stage, t := range totals {
-			ev.StageMS[stage] = t.DurationS * 1e3
+	if len(stages) > 0 {
+		ev.StageMS = make(map[string]float64, len(stages))
+		for _, st := range stages {
+			ev.StageMS[st.Name] = st.DurationS * 1e3
 		}
 	}
 	if err != nil {
@@ -602,16 +591,15 @@ func (p ProfileSpec) key(opts Options) (ProfileKey, error) {
 // the worker pool — retrying transient failures per the server's
 // policy — and persists the result for the next daemon life. The bool
 // reports whether the profile was served without this request paying
-// for profiling. The request's recorder (from the context) collects a
-// "profile" span for whatever profiling work this request actually paid
-// for (cache and store hits record nothing), and each resolution step
-// logs at Debug keyed by the request's trace ID.
+// for profiling. The request's tracer (from the context) records a
+// "profile" stage span for whatever profiling work this request
+// actually paid for (cache and store hits record nothing), and each
+// resolution step logs at Debug keyed by the request's trace ID.
 func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Graph, ProfileKey, bool, error) {
 	key, err := spec.key(s.opts)
 	if err != nil {
 		return nil, ProfileKey{}, false, err
 	}
-	rec := requestRecorder(ctx)
 	lg := s.log.With("trace_id", obs.TraceIDFromContext(ctx),
 		"workload", key.Workload, "k", key.K, "n", key.N)
 	g, cached, err := s.cache.GetOrProfile(key, func() (*sfg.Graph, error) {
@@ -661,9 +649,15 @@ func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Gra
 				if err != nil {
 					return badRequest("%v", err)
 				}
-				g, err = core.ProfileTraced(rec, cpu.DefaultConfig(), w.Stream(key.Seed, 0, key.N),
+				_, sp := obs.TracerFromContext(ctx).StartSpan(ctx, obs.StageProfile)
+				g, err = core.Profile(cpu.DefaultConfig(), w.Stream(key.Seed, 0, key.N),
 					core.ProfileOptions{K: key.K, ImmediateUpdate: key.Immediate, Shards: key.Shards})
-				return err
+				if err != nil {
+					sp.End()
+					return err
+				}
+				sp.EndInstructions(g.TotalInstructions)
+				return nil
 			})
 		})
 		if err != nil {
@@ -857,7 +851,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) (any, er
 	if err != nil {
 		return nil, err
 	}
-	rec := requestRecorder(r.Context())
 	cfg := req.Config.apply(cpu.DefaultConfig())
 	red := core.ReductionFor(g, req.Target)
 	okey := oracleKey(key, cfg, red, req.SimSeed)
@@ -873,12 +866,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) (any, er
 		}
 	} else {
 		err = s.retryRun(r.Context(), func() error {
-			return s.pool.Do(r.Context(), func(context.Context) error {
+			return s.pool.Do(r.Context(), func(ctx context.Context) error {
 				if err := s.faults.Fire(SiteSimulateJob); err != nil {
 					return err
 				}
 				var err error
-				m, err = core.StatSimTraced(rec, cfg, g, red, req.SimSeed)
+				m, err = core.StatSimTraced(ctx, cfg, g, red, req.SimSeed)
 				return err
 			})
 		})
@@ -1225,7 +1218,7 @@ func (s *Server) writeManifest(ctx context.Context, endpoint string, fill func(m
 	m := obs.NewManifest("statsimd " + endpoint)
 	m.TraceID = traceID
 	m.NumWorkers = s.pool.Stats().Workers
-	m.FillStages(requestRecorder(ctx))
+	m.FillStages(obs.TracerFromContext(ctx))
 	if ri := requestInfo(ctx); ri != nil {
 		sh, su := int(ri.storeHits.Load()), int(ri.surrogateHits.Load())
 		if sh > 0 || su > 0 {

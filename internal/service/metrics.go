@@ -124,8 +124,8 @@ var (
 
 // Metrics aggregates the daemon's operational counters: per-endpoint
 // latency histograms, per-pipeline-stage timing histograms (profile /
-// reduce / generate / simulate, fed by the obs recorders the handlers
-// thread through the core pipeline), plus cache and pool statistics,
+// reduce / generate / simulate, fed by the stage spans on each
+// request's tracer), plus cache and pool statistics,
 // served as JSON by GET /metrics and as Prometheus text exposition by
 // GET /metrics?format=prometheus.
 //
@@ -201,11 +201,12 @@ func (m *Metrics) StageObserve(name string, d time.Duration) {
 	l.Observe(d, false)
 }
 
-// ObserveStages folds every span a request's recorder collected into
-// the per-stage families. A nil recorder is a no-op.
-func (m *Metrics) ObserveStages(rec *obs.Recorder) {
-	for _, sp := range rec.Spans() {
-		m.StageObserve(sp.Name, time.Duration(sp.DurationS*float64(time.Second)))
+// ObserveStages folds a request's stage timings (obs.Tracer.Stages)
+// into the per-stage families: one observation per stage the request
+// ran, of that stage's self time.
+func (m *Metrics) ObserveStages(stages []obs.StageTiming) {
+	for _, st := range stages {
+		m.StageObserve(st.Name, time.Duration(st.DurationS*float64(time.Second)))
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -76,18 +77,18 @@ func TestLatencyHistConcurrent(t *testing.T) {
 }
 
 // TestStageMetrics pins the pipeline-stage family: StageObserve creates
-// families on demand, ObserveStages folds a recorder's spans in, and
-// both surface through Snapshot under the span names.
+// families on demand, ObserveStages folds a tracer's stage timings in,
+// and both surface through Snapshot under the stage names.
 func TestStageMetrics(t *testing.T) {
 	m := NewMetrics()
 	m.StageObserve(obs.StageProfile, 3*time.Millisecond)
 	m.StageObserve(obs.StageProfile, 5*time.Millisecond)
 
-	rec := obs.New()
-	sp := rec.Start(obs.StageSimulate)
+	tr := obs.NewTracer("t", "local")
+	_, sp := tr.StartSpan(context.Background(), obs.StageSimulate)
 	sp.End()
-	m.ObserveStages(rec)
-	m.ObserveStages(nil) // nil recorder is a no-op
+	m.ObserveStages(tr.Stages())
+	m.ObserveStages(nil) // a request that ran no stage is a no-op
 
 	snap := m.Snapshot(nil, nil)
 	if st := snap.Stages[obs.StageProfile]; st.Count != 2 || st.MeanMS <= 0 {

@@ -103,7 +103,8 @@ func TestSweepCostLedger(t *testing.T) {
 
 // TestDebugTraceEndpoint exercises GET /v1/debug/trace/{id}: a traced
 // sweep yields an assembled tree rooted at the http span with the
-// sweep stages below it; unknown IDs answer 404.
+// sweep stages below it, a simulate's tree holds its pipeline stages,
+// and unknown IDs answer 404.
 func TestDebugTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	const traceID = "trace-tree-test"
@@ -142,10 +143,60 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	if cohorts == 0 {
 		t.Error("no cohort spans under the sweep root")
 	}
+	// The sweep paid for its profile, so the profile stage is a child
+	// of the http root, attributed with the profiled stream length.
+	if prof := childNamed(root, obs.StageProfile); prof == nil {
+		t.Errorf("no profile span under the sweep root: %+v", root.Children)
+	} else if prof.Instructions != 60_000 {
+		t.Errorf("profile span instructions = %d, want 60000", prof.Instructions)
+	}
+
+	// A simulate on the same server: reduce and simulate under the http
+	// root, generate under simulate, and no profile (the graph is cached).
+	const simID = "trace-tree-simulate"
+	var sim SimulateResponse
+	if code, body := postJSONTraced(t, ts.URL+"/v1/simulate", simID,
+		SimulateRequest{Profile: req.Profile, Target: 4_000}, &sim); code != 200 {
+		t.Fatalf("simulate: %d %s", code, body)
+	}
+	var simTree obs.TraceTree
+	if code := getJSON(t, ts.URL+"/v1/debug/trace/"+simID, &simTree); code != 200 {
+		t.Fatalf("simulate trace fetch: %d", code)
+	}
+	if len(simTree.Roots) != 1 || simTree.Roots[0].Name != "http /v1/simulate" {
+		t.Fatalf("simulate roots = %+v", simTree.Roots)
+	}
+	simRoot := simTree.Roots[0]
+	if childNamed(simRoot, obs.StageReduce) == nil {
+		t.Errorf("no reduce span under the simulate root: %+v", simRoot.Children)
+	}
+	if childNamed(simRoot, obs.StageProfile) != nil {
+		t.Error("profile span on a request served from the graph cache")
+	}
+	simSpan := childNamed(simRoot, obs.StageSimulate)
+	if simSpan == nil {
+		t.Fatalf("no simulate span under the simulate root: %+v", simRoot.Children)
+	}
+	if simSpan.Instructions != sim.Metrics.Instructions || sim.Metrics.Instructions == 0 {
+		t.Errorf("simulate span instructions = %d, response %d", simSpan.Instructions, sim.Metrics.Instructions)
+	}
+	if childNamed(simSpan, obs.StageGenerate) == nil {
+		t.Errorf("no generate span under simulate: %+v", simSpan.Children)
+	}
 
 	if code := getJSON(t, ts.URL+"/v1/debug/trace/never-seen", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown trace: %d, want 404", code)
 	}
+}
+
+// childNamed returns n's first direct child with the given name.
+func childNamed(n *obs.TraceNode, name string) *obs.TraceNode {
+	for _, c := range n.Children {
+		if c.Name == name {
+			return c
+		}
+	}
+	return nil
 }
 
 // TestDebugRequestsTraceFilter pins satellite behaviour on the flight

@@ -11,10 +11,11 @@ import (
 )
 
 // TestObsDisabledOverhead guards the observability layer's core
-// promise: with a nil recorder, the traced entry points cost nothing
-// measurable — under 5% on the simulate path. The comparison runs the
-// same materialised trace through the plain and nil-traced entry
-// points, taking the minimum of several repetitions of each so
+// promise: with no tracer, a stage span costs nothing measurable —
+// under 5% on the simulate path. The comparison runs the same
+// materialised trace through the plain entry point and through the
+// same call inside a nil-tracer stage span (the way every front end
+// times a stage), taking the minimum of several repetitions of each so
 // scheduler noise cancels; a small absolute slack keeps the ratio
 // meaningful when a run is fast enough for timer granularity to bite.
 // The two sides' repetitions are interleaved, alternating which runs
@@ -39,8 +40,13 @@ func TestObsDisabledOverhead(t *testing.T) {
 	}
 	insts := trace.Collect(src, 0)
 
+	ctx := context.Background()
 	runPlain := func() { core.SimulateTrace(cfg, trace.NewSliceSource(insts)) }
-	runTraced := func() { core.SimulateTraceTraced(nil, cfg, trace.NewSliceSource(insts)) }
+	runTraced := func() {
+		_, sp := obs.TracerFromContext(ctx).StartSpan(ctx, obs.StageSimulate)
+		m := core.SimulateTrace(cfg, trace.NewSliceSource(insts))
+		sp.EndInstructions(m.Instructions)
+	}
 	timed := func(f func(), best *time.Duration) {
 		start := time.Now()
 		f()
@@ -74,21 +80,27 @@ func TestObsDisabledOverhead(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledZeroAllocs pins the distributed-tracing layer's
-// disabled-path contract: with no tracer in context (a nil *Tracer),
-// the span entry points that now sit on the sweep hot path —
-// StartSpan, Annotate, End, Import, plus the context lookups — must
-// allocate nothing. A single allocation per span would multiply across
-// every cohort of every sweep on every untraced caller.
+// TestTracingDisabledZeroAllocs pins the tracing layer's disabled-path
+// contract: with no tracer in context (a nil *Tracer), the span entry
+// points that sit on the sweep and stage hot paths — StartSpan,
+// Annotate, End, EndInstructions, the externally timed Record, Import,
+// Stages, plus the context lookups — must allocate nothing. A single
+// allocation per span would multiply across every cohort of every
+// sweep on every untraced caller.
 func TestTracingDisabledZeroAllocs(t *testing.T) {
 	ctx := context.Background()
 	var tr *obs.Tracer
+	start := time.Now()
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr2 := obs.TracerFromContext(ctx)
 		c2, span := tr2.StartSpan(ctx, "cohort")
 		span.Annotate("k", "v")
 		span.End()
+		c3, stage := tr2.StartSpan(c2, obs.StageSimulate)
+		tr2.Record(c3, obs.StageGenerate, start, time.Millisecond, 10)
+		stage.EndInstructions(10)
 		tr.Import(nil)
+		_ = tr.Stages()
 		_ = obs.SpanIDFromContext(c2)
 	})
 	if allocs != 0 {
