@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -109,10 +110,12 @@ const (
 const watchdogCycles = 1_000_000
 
 // Pipeline is one simulation instance. It is single-use: construct,
-// Run, read the Result.
+// Run, read the Result. Finalize hands the run's working set (runBufs)
+// to the next pipeline, so a finished pipeline cannot be stepped again.
 type Pipeline struct {
-	cfg Config
-	cur *trace.Cursor // the stream, read in place by position
+	cfg  Config
+	cur  *trace.Cursor // the stream, read in place by position
+	bufs *runBufs      // the recycled working set, nil once Finalize returned it
 
 	// Per-config constants, computed once at construction.
 	fetchWidth int
@@ -217,7 +220,7 @@ func NewTraceDriven(cfg Config, src trace.Source) *Pipeline {
 // trace.Spool: the pipeline reads the stream in place and releases it
 // as it commits, so many pipelines can share one materialised window
 // (the lockstep batch driver). The cursor must be fresh and belongs to
-// the pipeline until the run drains.
+// the pipeline, which closes it in Finalize.
 func NewTraceDrivenCursor(cfg Config, cur *trace.Cursor) *Pipeline {
 	p := newPipeline(cfg, cur)
 	if cfg.SimulateDCache && !cfg.PerfectCaches {
@@ -240,17 +243,21 @@ func newPipeline(cfg Config, cur *trace.Cursor) *Pipeline {
 	for depSize < cfg.RUUSize {
 		depSize <<= 1
 	}
+	b := runPool.Get().(*runBufs)
+	b.reset(cfg.RUUSize, cfg.IFQSize, depSize, wheelSize)
 	p := &Pipeline{
 		cfg:        cfg,
 		cur:        cur,
+		bufs:       b,
 		fetchWidth: cfg.FetchWidth(),
 		warmLeft:   cfg.WarmupInsts,
-		ruu:        make([]ruuEntry, cfg.RUUSize),
-		ifq:        make([]ifqEntry, cfg.IFQSize),
-		deps:       make([]depRec, depSize),
+		ruu:        b.ruu,
+		ifq:        b.ifq,
+		deps:       b.deps,
 		depMask:    uint64(depSize - 1),
-		wheel:      make([][]waiterRef, wheelSize),
-		wheelBits:  make([]uint64, wheelSize/64),
+		ready:      b.ready,
+		wheel:      b.wheel,
+		wheelBits:  b.wheelBits,
 		wheelMask:  uint64(wheelSize - 1),
 		fuIntALU:   make([]uint64, cfg.IntALUs),
 		fuLS:       make([]uint64, cfg.LoadStore),
@@ -264,6 +271,54 @@ func newPipeline(cfg Config, cur *trace.Cursor) *Pipeline {
 		p.loadLat[m] = cfg.Hier.LoadLatency(l1, l2, tlb)
 	}
 	return p
+}
+
+// runBufs is the working set of one run: the RUU with each entry's
+// waiter list, the IFQ, the dependency table, the ready list and the
+// completion wheel's slots and bitmap. Finalize returns it to runPool
+// and the next pipeline takes it, keeping the capacity its waiter
+// lists and wheel slots grew to, instead of growing them again.
+type runBufs struct {
+	ruu       []ruuEntry
+	ifq       []ifqEntry
+	deps      []depRec
+	ready     []int32
+	wheel     [][]waiterRef
+	wheelBits []uint64
+}
+
+var runPool = sync.Pool{New: func() any { return new(runBufs) }}
+
+// reset sizes b for one run and puts it in exactly a fresh pipeline's
+// state: zeroed RUU entries (generation counters included) with empty
+// waiter lists, a zeroed IFQ and dependency table, an empty ready list
+// and empty wheel slots with their bits clear. Only the capacity of the
+// lists survives.
+func (b *runBufs) reset(ruuSize, ifqSize, depSize, wheelSize int) {
+	b.ruu = resize(b.ruu, ruuSize)
+	for i := range b.ruu {
+		b.ruu[i] = ruuEntry{waiters: b.ruu[i].waiters[:0]}
+	}
+	b.wheel = resize(b.wheel, wheelSize)
+	for i := range b.wheel {
+		b.wheel[i] = b.wheel[i][:0]
+	}
+	b.ifq = resize(b.ifq, ifqSize)
+	clear(b.ifq)
+	b.deps = resize(b.deps, depSize)
+	clear(b.deps)
+	b.wheelBits = resize(b.wheelBits, wheelSize/64)
+	clear(b.wheelBits)
+	b.ready = b.ready[:0]
+}
+
+// resize returns s with length n, keeping its elements (and growing
+// its capacity) as needed; the caller resets them.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s[:cap(s)], n-cap(s))
+	}
+	return s[:n]
 }
 
 // scheduleCompletion registers an issued entry on the completion wheel.
@@ -431,7 +486,10 @@ func (p *Pipeline) RunToFetch(limit uint64) bool {
 
 // Finalize computes the end-of-run aggregate statistics and returns the
 // Result. Call once the run has drained (Run does it internally; batch
-// drivers call it after RunToFetch reports the drain).
+// drivers call it after RunToFetch reports the drain). It also ends the
+// run: the pipeline closes its cursor and hands its working set to the
+// next pipeline, so it must not be stepped again. A second call returns
+// the same Result.
 func (p *Pipeline) Finalize() Result {
 	cycles := p.cycle - p.cycleBase
 	p.res.Cycles = cycles
@@ -439,6 +497,13 @@ func (p *Pipeline) Finalize() Result {
 		p.res.AvgRUUOcc = float64(p.occRUUSum) / float64(cycles)
 		p.res.AvgLSQOcc = float64(p.occLSQSum) / float64(cycles)
 		p.res.AvgIFQOcc = float64(p.occIFQSum) / float64(cycles)
+	}
+	p.cur.Close()
+	if b := p.bufs; b != nil {
+		b.ready = p.ready
+		runPool.Put(b)
+		p.bufs = nil
+		p.ruu, p.ifq, p.deps, p.ready, p.wheel, p.wheelBits = nil, nil, nil, nil, nil, nil
 	}
 	return p.res
 }

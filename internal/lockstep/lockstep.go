@@ -25,7 +25,9 @@
 // chunk apart and every instance reads the same cache-resident bytes.
 // Each pipeline releases the stream as it commits, and the spool drops
 // what lies below every open cursor's release point, so the window
-// stays a few chunks wide without any trimming by the driver.
+// stays a few chunks wide without any trimming by the driver. Finalize
+// closes a drained pipeline's cursor and recycles its buffers; the last
+// one returns the spool's window to the pool for the next group.
 package lockstep
 
 import (
@@ -48,10 +50,8 @@ func Simulate(cfgs []cpu.Config, src trace.Source) []cpu.Result {
 
 	sp := trace.NewSpool(src)
 	pipes := make([]*cpu.Pipeline, n)
-	curs := make([]*trace.Cursor, n)
 	for i := range cfgs {
-		curs[i] = sp.NewCursor()
-		pipes[i] = cpu.NewTraceDrivenCursor(cfgs[i], curs[i])
+		pipes[i] = cpu.NewTraceDrivenCursor(cfgs[i], sp.NewCursor())
 	}
 
 	// Per-instance scheduling state, struct-of-arrays: the selection
@@ -77,7 +77,6 @@ func Simulate(cfgs []cpu.Config, src trace.Source) []cpu.Result {
 			done[best] = true
 			live--
 			results[best] = pipes[best].Finalize()
-			curs[best].Close()
 		} else {
 			target[best] += stride
 		}

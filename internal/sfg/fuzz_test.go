@@ -74,10 +74,11 @@ func FuzzSaveLoadRoundTrip(f *testing.F) {
 // FuzzLoad feeds Load arbitrary bytes, seeded with valid encodings at
 // every order and with a non-default DepMax. Load must never panic; it
 // must allocate at most a small multiple of the input's length, beyond
-// the dense count arrays (8·(Max+1) bytes per histogram) that a loaded
-// graph keeps by design and that Load allocates only once the whole
-// input has checked out; and any input it accepts must re-encode to
-// the same bytes, so every graph has one canonical form.
+// the dense count arrays (8·(Max+1) bytes per histogram with more
+// values than a sparse histogram keeps) that a loaded graph keeps by
+// design and that Load allocates only once the whole input has checked
+// out; and any input it accepts must re-encode to the same bytes, so
+// every graph has one canonical form.
 func FuzzLoad(f *testing.F) {
 	for k := 0; k <= MaxK; k++ {
 		f.Add(seedEncoding(f, defaultOpts(k)))
@@ -129,13 +130,25 @@ func seedEncoding(f *testing.F, opts Options) []byte {
 	return buf.Bytes()
 }
 
-// denseBytes is the size of g's histograms' dense count arrays.
+// promotedSupport is the support past which a stats.Histogram keeps a
+// dense count array instead of sparse (value, count) pairs (the
+// unexported stats.sparseMax).
+const promotedSupport = 32
+
+// denseBytes is the size of the dense count arrays g's histograms hold.
+// Sparse pairs need no allowance: each takes at least two input bytes.
 func denseBytes(g *Graph) uint64 {
 	var n uint64
 	for _, e := range g.Edges {
 		for i := range e.Insts {
 			for p := 0; p <= wawBit; p++ {
-				if h := *e.Insts[i].hist(p); h != nil {
+				h := *e.Insts[i].hist(p)
+				if h == nil {
+					continue
+				}
+				support := 0
+				h.ContainsFunc(func(int) bool { support++; return false })
+				if support > promotedSupport {
 					n += 8 * uint64(h.Max+1)
 				}
 			}

@@ -1,5 +1,7 @@
 package stats
 
+import "slices"
+
 // MaxDependencyDistance bounds the dependency-distance distributions
 // recorded during statistical profiling. The paper (§2.1.1) limits the
 // distribution to 512 entries, "which still allows the modeling of a
@@ -8,29 +10,56 @@ package stats
 // never stalls issue, so clamping it loses no timing information.
 const MaxDependencyDistance = 512
 
+// sparseMax is the support size past which a histogram promotes from
+// its sparse (value, count) pairs to a dense array of Max+1 counts.
+// Most dependency-distance histograms stay far below it (gcc's median
+// support is 1); those that pass it are the wide ones, where the linear
+// search per Add would cost more than the array's memory.
+const sparseMax = 32
+
 // Histogram is a bounded integer histogram over [1, Max]. Values larger
 // than Max are clamped to Max; values < 1 are rejected. It is the
 // storage format for dependency-distance distributions in the
 // statistical flow graph.
+//
+// A histogram starts sparse: pairs holds its non-empty (value, count)
+// pairs, in no fixed order while it is being built — a hit moves its
+// pair one place toward the front when its count passes its
+// neighbour's, so the common values are found first. Once its support
+// passes sparseMax it promotes to counts, a dense array indexed by
+// value, and pairs is dropped. Every read that walks the values visits
+// them in increasing order, whichever form holds them, so the answers,
+// the byte form and the draws depend on neither the form nor the
+// pairs' order.
 type Histogram struct {
 	Max    int
-	counts []uint64
 	total  uint64
+	pairs  []histPair
+	counts []uint64
 
-	// Sparse sampling cache over the non-empty buckets, rebuilt lazily
-	// after mutation: interleaved (cumulative count, value) entries plus
-	// a guide table giving O(1)-expected lookups with the same
-	// inverse-CDF (u → value) mapping as a linear or binary search over
-	// the raw counts (see AliasTable for the soundness argument; the
-	// guide here is the same construction). The entries are interleaved
-	// rather than parallel slices so one sample touches one or two cache
-	// lines instead of four. Profiling mutates histograms heavily and
-	// never samples; synthesis samples heavily and never mutates — the
-	// cache serves the latter without taxing the former.
+	// Sampling cache over the non-empty values, rebuilt lazily after
+	// mutation: interleaved (cumulative count, value) entries in
+	// increasing value order plus a guide table giving O(1)-expected
+	// lookups with the same inverse-CDF (u → value) mapping as a linear
+	// or binary search over the counts (see AliasTable for the
+	// soundness argument; the guide here is the same construction). The
+	// entries are interleaved rather than parallel slices so one sample
+	// touches one or two cache lines instead of four. Profiling mutates
+	// histograms heavily and never samples; synthesis samples heavily
+	// and never mutates — the cache serves the latter without taxing
+	// the former.
 	entries []histEntry
 	guide   []int32
 	gshift  uint
 }
+
+// histPair is one non-empty value of a sparse histogram and its count.
+type histPair struct {
+	n   uint64
+	val int32
+}
+
+func cmpPair(a, b histPair) int { return int(a.val) - int(b.val) }
 
 // histEntry pairs a cumulative count with its bucket value.
 type histEntry struct {
@@ -56,21 +85,7 @@ func (h *Histogram) Add(v int) {
 	if v > h.Max {
 		v = h.Max
 	}
-	if h.counts == nil {
-		h.counts = make([]uint64, h.Max+1)
-	}
-	h.counts[v]++
-	h.total++
-	h.invalidate()
-}
-
-func (h *Histogram) invalidate() {
-	// Skip the pointer stores (and their write barriers) when there is
-	// no cache to drop — the overwhelmingly common case, since profiling
-	// mutates millions of times before anything ever samples.
-	if h.entries != nil {
-		h.entries, h.guide = nil, nil
-	}
+	h.add(v, 1)
 }
 
 // AddN records n observations of v.
@@ -84,12 +99,88 @@ func (h *Histogram) AddN(v int, n uint64) {
 	if v > h.Max {
 		v = h.Max
 	}
-	if h.counts == nil {
-		h.counts = make([]uint64, h.Max+1)
-	}
-	h.counts[v] += n
+	h.add(v, n)
+}
+
+// add records n observations of v, a value in [1, Max]. (Add stays
+// small enough to inline; this is its one call.)
+func (h *Histogram) add(v int, n uint64) {
 	h.total += n
 	h.invalidate()
+	if h.counts != nil {
+		h.counts[v] += n
+		return
+	}
+	ps := h.pairs
+	for i := range ps {
+		if int(ps[i].val) == v {
+			ps[i].n += n
+			if i > 0 && ps[i].n > ps[i-1].n {
+				ps[i-1], ps[i] = ps[i], ps[i-1]
+			}
+			return
+		}
+	}
+	if len(ps) < sparseMax {
+		h.pairs = append(ps, histPair{n: n, val: int32(v)})
+		return
+	}
+	h.counts = make([]uint64, h.Max+1)
+	for _, p := range ps {
+		h.counts[p.val] = p.n
+	}
+	h.counts[v] = n
+	h.pairs = nil
+}
+
+func (h *Histogram) invalidate() {
+	// Skip the pointer stores (and their write barriers) when there is
+	// no cache to drop — the overwhelmingly common case, since profiling
+	// mutates millions of times before anything ever samples.
+	if h.entries != nil {
+		h.entries, h.guide = nil, nil
+	}
+}
+
+// each calls f on every non-empty value in increasing order with its
+// count, until f returns false. It writes nothing to h: unsorted sparse
+// pairs are sorted in a copy on the stack. buildCum sorts the pairs in
+// place before it sets entries, and every mutation clears entries, so
+// a frozen histogram's pairs are read directly.
+func (h *Histogram) each(f func(v int, n uint64) bool) {
+	if h.counts != nil {
+		for v, n := range h.counts {
+			if n != 0 && !f(v, n) {
+				return
+			}
+		}
+		return
+	}
+	ps := h.pairs
+	var buf [sparseMax]histPair
+	if h.entries == nil && !slices.IsSortedFunc(ps, cmpPair) {
+		ps = buf[:copy(buf[:], ps)]
+		slices.SortFunc(ps, cmpPair)
+	}
+	for _, p := range ps {
+		if !f(int(p.val), p.n) {
+			return
+		}
+	}
+}
+
+// support returns the number of non-empty values.
+func (h *Histogram) support() int {
+	if h.counts == nil {
+		return len(h.pairs)
+	}
+	n := 0
+	for _, c := range h.counts {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Total returns the number of recorded observations.
@@ -97,13 +188,21 @@ func (h *Histogram) Total() uint64 { return h.total }
 
 // Count returns the number of observations equal to v (after clamping).
 func (h *Histogram) Count(v int) uint64 {
-	if h.counts == nil || v < 1 {
+	if v < 1 {
 		return 0
 	}
 	if v > h.Max {
 		v = h.Max
 	}
-	return h.counts[v]
+	if h.counts != nil {
+		return h.counts[v]
+	}
+	for _, p := range h.pairs {
+		if int(p.val) == v {
+			return p.n
+		}
+	}
+	return 0
 }
 
 // Mean returns the mean observation, or 0 for an empty histogram.
@@ -112,9 +211,10 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	var sum float64
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
-	}
+	h.each(func(v int, n uint64) bool {
+		sum += float64(v) * float64(n)
+		return true
+	})
 	return sum / float64(h.total)
 }
 
@@ -140,22 +240,20 @@ func (h *Histogram) Sample(u float64) int {
 	return int(h.entries[i].val)
 }
 
+// buildCum sorts the sparse pairs in place and builds the sampling
+// cache from them.
 func (h *Histogram) buildCum() {
-	n := 0
-	for _, c := range h.counts {
-		if c != 0 {
-			n++
-		}
+	if h.counts == nil {
+		slices.SortFunc(h.pairs, cmpPair)
 	}
+	n := h.support()
 	entries := make([]histEntry, 0, n)
 	var run uint64
-	for v, c := range h.counts {
-		if c == 0 {
-			continue
-		}
+	h.each(func(v int, c uint64) bool {
 		run += c
 		entries = append(entries, histEntry{cum: run, val: int32(v)})
-	}
+		return true
+	})
 	// Guide construction mirrors NewAliasTable: bucket j holds the first
 	// entry whose cumulative count exceeds j<<gshift, with the bucket
 	// width widened until the guide is at most ~2x the entry count.
@@ -215,14 +313,17 @@ func (h *Histogram) Quantile(q float64) int {
 		q = 1
 	}
 	target := uint64(q * float64(h.total))
+	v := h.Max
 	var cum uint64
-	for v, c := range h.counts {
-		cum += c
-		if cum >= target && c > 0 {
-			return v
+	h.each(func(x int, n uint64) bool {
+		cum += n
+		if cum >= target {
+			v = x
+			return false
 		}
-	}
-	return h.Max
+		return true
+	})
+	return v
 }
 
 // Merge adds all observations from o into h. The histograms must have
@@ -234,14 +335,10 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o.Max != h.Max {
 		panic("stats: merging histograms with different bounds")
 	}
-	if h.counts == nil {
-		h.counts = make([]uint64, h.Max+1)
-	}
-	for v, c := range o.counts {
-		h.counts[v] += c
-	}
-	h.total += o.total
-	h.invalidate()
+	o.each(func(v int, n uint64) bool {
+		h.add(v, n)
+		return true
+	})
 }
 
 // Clone returns a deep copy of h.

@@ -7,9 +7,10 @@ import (
 )
 
 // maxEncodedMax bounds the Max a histogram's byte form may carry. A
-// decoded histogram holds a dense array of Max+1 counts, so the bound
-// keeps one short record from asking for an arbitrarily large one; it
-// is 128 times the paper's 512-entry distribution.
+// decoded histogram with more than sparseMax values holds a dense array
+// of Max+1 counts, so the bound keeps one short record from asking for
+// an arbitrarily large one; it is 128 times the paper's 512-entry
+// distribution.
 const maxEncodedMax = 1 << 16
 
 var errTruncatedHistogram = errors.New("stats: truncated or malformed histogram")
@@ -17,46 +18,29 @@ var errTruncatedHistogram = errors.New("stats: truncated or malformed histogram"
 // AppendBinary appends h's byte form to b: Max, the number of
 // non-empty values, then each non-empty value in increasing order as
 // its distance from the previous one (the first from 0) and its count,
-// all uvarints. The pairs are read from the sampling cache of a frozen
-// histogram and from the dense counts otherwise, giving the same bytes
-// either way; AppendBinary never builds the cache, so it is safe on a
-// frozen histogram that other goroutines are sampling.
+// all uvarints. It writes nothing to h, so it is safe on a frozen
+// histogram that other goroutines are sampling, and the bytes do not
+// depend on whether h is sparse, dense or frozen.
 func (h *Histogram) AppendBinary(b []byte) ([]byte, error) {
 	if h.Max < 1 || h.Max > maxEncodedMax {
 		return b, fmt.Errorf("stats: histogram max %d outside [1,%d]", h.Max, maxEncodedMax)
 	}
 	b = binary.AppendUvarint(b, uint64(h.Max))
+	b = binary.AppendUvarint(b, uint64(h.support()))
 	prev := 0
-	if h.entries != nil {
-		b = binary.AppendUvarint(b, uint64(len(h.entries)))
-		var cum uint64
-		for _, e := range h.entries {
-			b = binary.AppendUvarint(b, uint64(int(e.val)-prev))
-			b = binary.AppendUvarint(b, e.cum-cum)
-			prev, cum = int(e.val), e.cum
-		}
-		return b, nil
-	}
-	n := 0
-	for _, c := range h.counts {
-		if c != 0 {
-			n++
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(n))
-	for v, c := range h.counts {
-		if c != 0 {
-			b = binary.AppendUvarint(b, uint64(v-prev))
-			b = binary.AppendUvarint(b, c)
-			prev = v
-		}
-	}
+	h.each(func(v int, n uint64) bool {
+		b = binary.AppendUvarint(b, uint64(v-prev))
+		b = binary.AppendUvarint(b, n)
+		prev = v
+		return true
+	})
 	return b, nil
 }
 
 // DecodeHistogram decodes the byte form AppendBinary writes from the
-// front of b. It returns the histogram, unfrozen and with its dense
-// counts, and the number of bytes read.
+// front of b. It returns the histogram, unfrozen, and the number of
+// bytes read. The histogram takes the form profiling would have given
+// it: sorted sparse pairs, or dense counts past sparseMax values.
 func DecodeHistogram(b []byte) (*Histogram, int, error) {
 	h := new(Histogram)
 	n, err := parseHistogram(b, h)
@@ -69,7 +53,7 @@ func DecodeHistogram(b []byte) (*Histogram, int, error) {
 // HistogramLen checks the byte form at the front of b exactly as
 // DecodeHistogram does, without allocating, and returns its length. A
 // decoder can check a whole input this way before it allocates any
-// dense count array.
+// histogram.
 func HistogramLen(b []byte) (int, error) { return parseHistogram(b, nil) }
 
 // parseHistogram reads one byte form, filling h when it is non-nil. It
@@ -93,8 +77,10 @@ func parseHistogram(b []byte, h *Histogram) (int, error) {
 	}
 	if h != nil {
 		h.Max = int(hmax)
-		if np > 0 {
+		if np > sparseMax {
 			h.counts = make([]uint64, hmax+1)
+		} else if np > 0 {
+			h.pairs = make([]histPair, 0, np)
 		}
 	}
 	var v, total uint64
@@ -121,8 +107,12 @@ func parseHistogram(b []byte, h *Histogram) (int, error) {
 		}
 		v += d
 		total += c
-		if h != nil {
+		switch {
+		case h == nil:
+		case h.counts != nil:
 			h.counts[v] = c
+		default:
+			h.pairs = append(h.pairs, histPair{n: c, val: int32(v)})
 		}
 	}
 	if h != nil {

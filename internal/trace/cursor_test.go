@@ -1,6 +1,11 @@
 package trace
 
-import "testing"
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"unsafe"
+)
 
 // countingSource is a stream whose record at position i has PC i.
 func countingSource(n int) *SliceSource {
@@ -184,8 +189,10 @@ func (s *endlessSource) Next(d *DynInst) bool {
 // TestCursorZeroAllocSteadyState pins the in-place read path's
 // allocation behaviour: once the window has grown to its working size,
 // At/Release cycles (chunked in-place refills, in-place compaction)
-// allocate nothing. Skipped under -race: the race runtime instruments
-// allocations.
+// allocate nothing, and a spool opened after another one's last Close
+// reads into that spool's window instead of growing one of its own.
+// Skipped under -race: the race runtime instruments allocations (and
+// drops pooled items at random).
 func TestCursorZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
@@ -211,5 +218,36 @@ func TestCursorZeroAllocSteadyState(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("Cursor At/Release: %v allocs/run in steady state, want 0", a)
+	}
+	c.Close()
+
+	// One P and no collection while the steady state is measured: a
+	// goroutine that moves between Ps can miss sync.Pool's per-P cache,
+	// and a collection empties the pools (both documented behaviour).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	round := func() {
+		_, c := oneCursor(&endlessSource{})
+		for pos := uint64(0); pos < 20_000; pos++ {
+			c.At(pos)
+			if pos%4096 == 0 {
+				c.Release(pos)
+			}
+		}
+		c.Close()
+	}
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 10
+	for range rounds {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	// A round still allocates its source, spool and cursor; a window
+	// would be at least one chunk.
+	chunk := uint64(DefaultBatchSize) * uint64(unsafe.Sizeof(DynInst{}))
+	if b := (after.TotalAlloc - before.TotalAlloc) / rounds; b >= chunk {
+		t.Errorf("a spool after another's Close allocates %d bytes, at least a window chunk (%d)", b, chunk)
 	}
 }

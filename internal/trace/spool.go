@@ -1,5 +1,7 @@
 package trace
 
+import "sync"
+
 // Spool materialises one BatchSource stream exactly once into a sliding
 // window and serves it in place to N Cursor consumers — the one stream
 // buffer behind both a single pipeline's fetch (a one-cursor spool) and
@@ -20,13 +22,23 @@ package trace
 // lockstep driver advances instances sequentially. Create every cursor
 // before the first read; cursors created after consumption has begun
 // would miss the already-dropped prefix (NewCursor panics then).
+//
+// The window's backing array comes from a pool shared by all spools
+// and goes back to it when the last cursor closes, so a run does not
+// regrow its window from empty: one finished run's window serves the
+// next run's spool, possibly on another goroutine.
 type Spool struct {
 	src     BatchSource
 	base    uint64 // stream position of window[0]
 	window  []DynInst
+	pooled  *[]DynInst // the pool's holder of window's backing array, nil when none is held
 	eof     bool
 	cursors []*Cursor
 }
+
+// windowPool recycles spool windows. It holds pointers, so a Put does
+// not allocate a slice header.
+var windowPool = sync.Pool{New: func() any { return new([]DynInst) }}
 
 // NewSpool wraps src (adapted to the batch interface if needed) for
 // multi-cursor consumption. The source must not be read by anyone else.
@@ -48,6 +60,10 @@ func (s *Spool) NewCursor() *Cursor {
 // fill extends the window by up to one chunk from the source, reading
 // in place into the window's spare capacity.
 func (s *Spool) fill() {
+	if s.pooled == nil {
+		s.pooled = windowPool.Get().(*[]DynInst)
+		s.window = (*s.pooled)[:0]
+	}
 	n := len(s.window)
 	if cap(s.window)-n < DefaultBatchSize {
 		grown := make([]DynInst, n, 2*cap(s.window)+DefaultBatchSize)
@@ -65,7 +81,7 @@ func (s *Spool) fill() {
 // trim discards window entries below the lowest release point of the
 // open cursors, compacting only when a sizeable prefix is dead
 // (amortising the copy). With every cursor closed the whole window is
-// released.
+// released, and its backing array goes back to the pool.
 func (s *Spool) trim() {
 	min, open := ^uint64(0), false
 	for _, c := range s.cursors {
@@ -77,7 +93,12 @@ func (s *Spool) trim() {
 		}
 	}
 	if !open {
-		s.window = s.window[:0]
+		if s.pooled != nil {
+			*s.pooled = s.window[:0]
+			windowPool.Put(s.pooled)
+			s.pooled = nil
+		}
+		s.window = nil
 		return
 	}
 	if min <= s.base {
@@ -111,7 +132,9 @@ type Cursor struct {
 // (EOF is sticky: the source is not consulted again). pos must not be
 // below the cursor's release point. The record is read in place: it
 // stays valid until the next Release or Close on any cursor of the
-// spool, and must not be modified.
+// spool, and must not be modified. After the spool's last Close it must
+// not be used at all: the window may by then belong to another spool,
+// on another goroutine.
 func (c *Cursor) At(pos uint64) *DynInst {
 	if w := c.sp.window; pos >= c.release && pos-c.sp.base < uint64(len(w)) {
 		return &w[pos-c.sp.base]
@@ -148,8 +171,13 @@ func (c *Cursor) Release(pos uint64) {
 	c.sp.trim()
 }
 
-// Close marks the cursor done so it no longer pins the window.
+// Close marks the cursor done so it no longer pins the window. The
+// spool's last Close hands the window back to the pool; closing a
+// closed cursor does nothing.
 func (c *Cursor) Close() {
+	if c.closed {
+		return
+	}
 	c.closed = true
 	c.sp.trim()
 }
