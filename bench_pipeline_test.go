@@ -107,31 +107,13 @@ func BenchmarkEndToEnd(b *testing.B) {
 	b.ReportMetric(float64(benchProfileN)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 }
 
-// batchDrainer is the chunked delivery interface, declared locally so
-// this benchmark file also compiles (and falls back to Next) on trees
-// that predate trace.BatchSource.
-type batchDrainer interface {
-	NextBatch(dst []trace.DynInst) int
-}
-
 // drain consumes a source to exhaustion, returning the instruction
-// count. It uses chunked delivery when the source supports it — the
-// way pipeline consumers are meant to drain a generator.
+// count, the way pipeline consumers drain a generator: chunk by chunk.
 func drain(src Source) uint64 {
 	var n uint64
-	if bs, ok := src.(batchDrainer); ok {
-		buf := make([]trace.DynInst, 1024)
-		for {
-			k := bs.NextBatch(buf)
-			if k == 0 {
-				return n
-			}
-			n += uint64(k)
-		}
-	}
-	var d trace.DynInst
-	for src.Next(&d) {
-		n++
+	buf := make([]trace.DynInst, trace.DefaultBatchSize)
+	for k := src.NextBatch(buf); k > 0; k = src.NextBatch(buf) {
+		n += uint64(k)
 	}
 	return n
 }

@@ -115,11 +115,11 @@ func BenchmarkExecutionDriven(b *testing.B) {
 func BenchmarkFunctionalExecution(b *testing.B) {
 	w, _ := LoadWorkload("gzip")
 	const n = 200_000
+	buf := make([]trace.DynInst, trace.DefaultBatchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := w.Stream(uint64(i+1), 0, n)
-		var d trace.DynInst
-		for src.Next(&d) {
+		for src.NextBatch(buf) > 0 {
 		}
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")

@@ -40,22 +40,26 @@ func NewWarmState(cfg Config) *WarmState {
 // instruction, D-cache per memory access, predictor lookup+update per
 // branch) and returns how many instructions it consumed.
 func (ws *WarmState) Warm(src trace.Source) uint64 {
-	var d trace.DynInst
-	var n uint64
-	for src.Next(&d) {
-		n++
-		if ws.hier != nil {
-			ws.hier.AccessI(d.PC)
-			if d.Class.IsMem() {
-				ws.hier.AccessD(d.EffAddr)
+	var total uint64
+	buf := trace.GetBatch()
+	defer trace.PutBatch(buf)
+	for n := src.NextBatch(buf); n > 0; n = src.NextBatch(buf) {
+		total += uint64(n)
+		for i := range buf[:n] {
+			d := &buf[i]
+			if ws.hier != nil {
+				ws.hier.AccessI(d.PC)
+				if d.Class.IsMem() {
+					ws.hier.AccessD(d.EffAddr)
+				}
+			}
+			if ws.pred != nil && d.Class.IsBranch() {
+				ws.pred.Lookup(d.PC, d.Class)
+				ws.pred.Update(d.PC, d.Class, d.Taken, d.NextPC)
 			}
 		}
-		if ws.pred != nil && d.Class.IsBranch() {
-			ws.pred.Lookup(d.PC, d.Class)
-			ws.pred.Update(d.PC, d.Class, d.Taken, d.NextPC)
-		}
 	}
-	return n
+	return total
 }
 
 // NewExecutionDrivenWarmed builds the reference simulator starting from

@@ -71,7 +71,6 @@ type Profile struct {
 // mirroring how the SFG profiler measures the same events.
 func ProfileStream(src trace.Source) (*Profile, error) {
 	p := &Profile{Dep: stats.NewHistogram(stats.MaxDependencyDistance)}
-	var d trace.DynInst
 	// HLS basic blocks are branch-delimited (every synthetic block ends
 	// in a branch), so block-size statistics are measured over runs of
 	// instructions ending at each branch.
@@ -84,54 +83,59 @@ func ProfileStream(src trace.Source) (*Profile, error) {
 		}
 		curLen = 0
 	}
-	for src.Next(&d) {
-		curLen++
-		if d.Class.IsBranch() {
-			flushBlock()
-		}
-		p.Instructions++
-		p.Fetches++
-		if d.Flags.Has(trace.FlagL1IMiss) {
-			p.L1IMiss++
-			if d.Flags.Has(trace.FlagL2IMiss) {
-				p.L2IMiss++
+	buf := trace.GetBatch()
+	defer trace.PutBatch(buf)
+	for n := src.NextBatch(buf); n > 0; n = src.NextBatch(buf) {
+		for i := range buf[:n] {
+			d := &buf[i]
+			curLen++
+			if d.Class.IsBranch() {
+				flushBlock()
 			}
-		}
-		if d.Flags.Has(trace.FlagITLBMiss) {
-			p.ITLBMiss++
-		}
-		if d.Class.IsBranch() {
-			p.BranchMix[d.Class]++
-			p.BrCount++
-			if d.Taken {
-				p.BrTaken++
-			}
-			if d.Flags.Has(trace.FlagBrMispredict) {
-				p.BrMispredict++
-			} else if d.Flags.Has(trace.FlagBrFetchRedirect) {
-				p.BrRedirect++
-			}
-		} else {
-			p.BodyMix[d.Class]++
-		}
-		if d.Class == isa.Load {
-			p.Loads++
-			if d.Flags.Has(trace.FlagL1DMiss) {
-				p.L1DMiss++
-				if d.Flags.Has(trace.FlagL2DMiss) {
-					p.L2DMiss++
+			p.Instructions++
+			p.Fetches++
+			if d.Flags.Has(trace.FlagL1IMiss) {
+				p.L1IMiss++
+				if d.Flags.Has(trace.FlagL2IMiss) {
+					p.L2IMiss++
 				}
 			}
-			if d.Flags.Has(trace.FlagDTLBMiss) {
-				p.DTLBMiss++
+			if d.Flags.Has(trace.FlagITLBMiss) {
+				p.ITLBMiss++
 			}
-		}
-		p.NumSrcs[d.Class] += uint64(d.NumSrcs)
-		for op := 0; op < int(d.NumSrcs); op++ {
-			p.DepOperands++
-			if dd := d.DepDist[op]; dd > 0 {
-				p.DepPresent++
-				p.Dep.Add(int(dd))
+			if d.Class.IsBranch() {
+				p.BranchMix[d.Class]++
+				p.BrCount++
+				if d.Taken {
+					p.BrTaken++
+				}
+				if d.Flags.Has(trace.FlagBrMispredict) {
+					p.BrMispredict++
+				} else if d.Flags.Has(trace.FlagBrFetchRedirect) {
+					p.BrRedirect++
+				}
+			} else {
+				p.BodyMix[d.Class]++
+			}
+			if d.Class == isa.Load {
+				p.Loads++
+				if d.Flags.Has(trace.FlagL1DMiss) {
+					p.L1DMiss++
+					if d.Flags.Has(trace.FlagL2DMiss) {
+						p.L2DMiss++
+					}
+				}
+				if d.Flags.Has(trace.FlagDTLBMiss) {
+					p.DTLBMiss++
+				}
+			}
+			p.NumSrcs[d.Class] += uint64(d.NumSrcs)
+			for op := 0; op < int(d.NumSrcs); op++ {
+				p.DepOperands++
+				if dd := d.DepDist[op]; dd > 0 {
+					p.DepPresent++
+					p.Dep.Add(int(dd))
+				}
 			}
 		}
 	}
@@ -156,14 +160,23 @@ func ProfileStream(src trace.Source) (*Profile, error) {
 // era; the paper's delayed-update improvement is specific to the SFG
 // framework (§2.1.3).
 func Annotate(src trace.Source, hier cache.HierarchyConfig, bp bpred.Config) trace.Source {
-	h := cache.NewHierarchy(hier)
-	pred := bpred.New(bp)
-	return trace.FuncSource(func(out *trace.DynInst) bool {
-		if !src.Next(out) {
-			return false
-		}
+	return &annotator{src: src, h: cache.NewHierarchy(hier), pred: bpred.New(bp)}
+}
+
+// annotator is Annotate's stream: each chunk of src, flagged in place.
+type annotator struct {
+	src  trace.Source
+	h    *cache.Hierarchy
+	pred *bpred.Predictor
+}
+
+// NextBatch implements trace.Source.
+func (a *annotator) NextBatch(dst []trace.DynInst) int {
+	n := a.src.NextBatch(dst)
+	for i := range dst[:n] {
+		out := &dst[i]
 		out.Flags = 0
-		ir := h.AccessI(out.PC)
+		ir := a.h.AccessI(out.PC)
 		if ir.L1Miss {
 			out.Flags |= trace.FlagL1IMiss
 			if ir.L2Miss {
@@ -174,7 +187,7 @@ func Annotate(src trace.Source, hier cache.HierarchyConfig, bp bpred.Config) tra
 			out.Flags |= trace.FlagITLBMiss
 		}
 		if out.Class.IsMem() {
-			dr := h.AccessD(out.EffAddr)
+			dr := a.h.AccessD(out.EffAddr)
 			if out.Class == isa.Load {
 				if dr.L1Miss {
 					out.Flags |= trace.FlagL1DMiss
@@ -188,17 +201,17 @@ func Annotate(src trace.Source, hier cache.HierarchyConfig, bp bpred.Config) tra
 			}
 		}
 		if out.Class.IsBranch() {
-			pr := pred.Lookup(out.PC, out.Class)
+			pr := a.pred.Lookup(out.PC, out.Class)
 			o := bpred.Classify(pr, out.Class, out.Taken, out.NextPC)
-			pred.Update(out.PC, out.Class, out.Taken, out.NextPC)
+			a.pred.Update(out.PC, out.Class, out.Taken, out.NextPC)
 			if o.Mispredicted {
 				out.Flags |= trace.FlagBrMispredict
 			} else if o.FetchRedirect {
 				out.Flags |= trace.FlagBrFetchRedirect
 			}
 		}
-		return true
-	})
+	}
+	return n
 }
 
 // synthetic basic block of the HLS model.
@@ -271,17 +284,23 @@ func (p *Profile) NewTrace(n uint64, seed uint64) *TraceSource {
 	return t
 }
 
-// Next implements trace.Source.
-func (t *TraceSource) Next(out *trace.DynInst) bool {
-	for t.bufPos >= len(t.buf) {
-		if t.seq >= t.n {
-			return false
+// NextBatch implements trace.Source: it drains whole blocks into dst,
+// copying straight out of the block buffer.
+func (t *TraceSource) NextBatch(dst []trace.DynInst) int {
+	n := 0
+	for n < len(dst) {
+		if t.bufPos >= len(t.buf) {
+			if t.seq >= t.n {
+				break
+			}
+			t.emitBlock()
+			continue
 		}
-		t.emitBlock()
+		c := copy(dst[n:], t.buf[t.bufPos:])
+		t.bufPos += c
+		n += c
 	}
-	*out = t.buf[t.bufPos]
-	t.bufPos++
-	return true
+	return n
 }
 
 func (t *TraceSource) bernoulli(num, den uint64) bool {

@@ -9,13 +9,13 @@ package lockstep
 // trace-driven sweep) is free to vary inside a cohort.
 
 // Key is the cohort identity of one design point: the inputs that
-// determine the synthetic trace. Points with unequal keys must never
-// share a generation pass; points with equal keys always may.
+// determine the synthetic trace of one graph. Points with unequal keys
+// must never share a generation pass; points with equal keys always
+// may.
 type Key struct {
-	Workload string
-	K        int
-	R        uint64
-	Seed     uint64
+	K    int
+	R    uint64
+	Seed uint64
 }
 
 // Point is one design point as the planner sees it: its cohort key and
@@ -23,30 +23,6 @@ type Key struct {
 type Point struct {
 	Key   Key
 	Index int
-}
-
-// Cohort is a set of grid indices proven safe to share one generation
-// pass, in ascending input order.
-type Cohort struct {
-	Key     Key
-	Indices []int
-}
-
-// Cohorts partitions points into cohorts by key, preserving first-
-// appearance order across cohorts and input order within each.
-func Cohorts(pts []Point) []Cohort {
-	var out []Cohort
-	byKey := make(map[Key]int)
-	for _, p := range pts {
-		ci, ok := byKey[p.Key]
-		if !ok {
-			ci = len(out)
-			byKey[p.Key] = ci
-			out = append(out, Cohort{Key: p.Key})
-		}
-		out[ci].Indices = append(out[ci].Indices, p.Index)
-	}
-	return out
 }
 
 // DefaultMaxGroup caps how many pipeline instances one generation pass
@@ -75,12 +51,25 @@ type Group struct {
 	Indices []int
 }
 
-// Plan splits points into cohorts and each cohort into contiguous,
-// near-equal groups — enough groups to occupy opts.Parallel workers,
-// none larger than opts.MaxGroup. The plan is a pure function of
-// (points, opts): worker scheduling can vary at runtime, but group
-// membership — and therefore every simulated stream — cannot.
+// Plan splits one cohort's points into contiguous, near-equal groups —
+// enough groups to occupy opts.Parallel workers, none larger than
+// opts.MaxGroup. Every point must carry the same key: Plan panics
+// otherwise, so two trace identities can never share a group. The plan
+// is a pure function of (points, opts): worker scheduling can vary at
+// runtime, but group membership — and therefore every simulated stream
+// — cannot.
 func Plan(pts []Point, opts Options) []Group {
+	if len(pts) == 0 {
+		return nil
+	}
+	key := pts[0].Key
+	indices := make([]int, len(pts))
+	for i, p := range pts {
+		if p.Key != key {
+			panic("lockstep: Plan over points of different cohorts")
+		}
+		indices[i] = p.Index
+	}
 	maxGroup := opts.MaxGroup
 	if maxGroup <= 0 {
 		maxGroup = DefaultMaxGroup
@@ -89,28 +78,26 @@ func Plan(pts []Point, opts Options) []Group {
 	if parallel <= 0 {
 		parallel = 1
 	}
-	var out []Group
-	for _, c := range Cohorts(pts) {
-		n := len(c.Indices)
-		groups := (n + maxGroup - 1) / maxGroup
-		if groups < parallel {
-			groups = parallel
+	n := len(indices)
+	groups := (n + maxGroup - 1) / maxGroup
+	if groups < parallel {
+		groups = parallel
+	}
+	if groups > n {
+		groups = n
+	}
+	// Contiguous split into `groups` parts, sizes differing by at most
+	// one (the first n%groups parts get the extra point).
+	out := make([]Group, 0, groups)
+	base, extra := n/groups, n%groups
+	start := 0
+	for gi := 0; gi < groups; gi++ {
+		size := base
+		if gi < extra {
+			size++
 		}
-		if groups > n {
-			groups = n
-		}
-		// Contiguous split into `groups` parts, sizes differing by at
-		// most one (the first n%groups parts get the extra point).
-		base, extra := n/groups, n%groups
-		start := 0
-		for gi := 0; gi < groups; gi++ {
-			size := base
-			if gi < extra {
-				size++
-			}
-			out = append(out, Group{Key: c.Key, Indices: c.Indices[start : start+size]})
-			start += size
-		}
+		out = append(out, Group{Key: key, Indices: indices[start : start+size]})
+		start += size
 	}
 	return out
 }

@@ -9,11 +9,23 @@ import (
 
 func pt(key lockstep.Key, i int) lockstep.Point { return lockstep.Point{Key: key, Index: i} }
 
+// mustPanic runs Plan over pts and fails unless it panics.
+func mustPanic(t *testing.T, pts []lockstep.Point) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Plan accepted points of different cohorts")
+		}
+	}()
+	lockstep.Plan(pts, lockstep.Options{MaxGroup: 4, Parallel: 2})
+}
+
 // TestCohortsNeverMixTraceKnobs: two points differing in any
-// trace-affecting knob — workload, profile depth k, reduction R or trace
-// seed — must never share a cohort.
+// trace-affecting knob — profile depth k, reduction R or trace seed —
+// must never share a group, so Plan refuses the grid, even when the odd
+// point comes last.
 func TestCohortsNeverMixTraceKnobs(t *testing.T) {
-	base := lockstep.Key{Workload: "gcc-like", K: 1, R: 16, Seed: 7}
+	base := lockstep.Key{K: 1, R: 16, Seed: 7}
 	mutate := func(mut func(*lockstep.Key)) lockstep.Key {
 		k := base
 		mut(&k)
@@ -23,40 +35,14 @@ func TestCohortsNeverMixTraceKnobs(t *testing.T) {
 		name  string
 		other lockstep.Key
 	}{
-		{"workload", mutate(func(k *lockstep.Key) { k.Workload = "mcf-like" })},
 		{"k", mutate(func(k *lockstep.Key) { k.K = 2 })},
 		{"r", mutate(func(k *lockstep.Key) { k.R = 32 })},
 		{"seed", mutate(func(k *lockstep.Key) { k.Seed = 8 })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cohorts := lockstep.Cohorts([]lockstep.Point{pt(base, 0), pt(tc.other, 1), pt(base, 2)})
-			for _, c := range cohorts {
-				for _, i := range c.Indices {
-					if (i == 1) != (c.Key == tc.other) {
-						t.Fatalf("point 1 (differing %s) grouped with base points: %+v", tc.name, cohorts)
-					}
-				}
-			}
-			if len(cohorts) < 2 {
-				t.Fatalf("differing %s collapsed into %d cohort(s)", tc.name, len(cohorts))
-			}
+			mustPanic(t, []lockstep.Point{pt(base, 0), pt(base, 1), pt(tc.other, 2)})
 		})
-	}
-}
-
-// TestCohortsPreserveOrder: cohorts appear in first-appearance order
-// and hold their indices in input order.
-func TestCohortsPreserveOrder(t *testing.T) {
-	a := lockstep.Key{Workload: "a", R: 1, Seed: 1}
-	b := lockstep.Key{Workload: "b", R: 1, Seed: 1}
-	got := lockstep.Cohorts([]lockstep.Point{pt(a, 3), pt(b, 1), pt(a, 0), pt(b, 2)})
-	want := []lockstep.Cohort{
-		{Key: a, Indices: []int{3, 0}},
-		{Key: b, Indices: []int{1, 2}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cohorts = %+v, want %+v", got, want)
 	}
 }
 
@@ -72,7 +58,7 @@ func planIndices(groups []lockstep.Group) []int {
 // once in order, no group above MaxGroup, at least Parallel groups per
 // large-enough cohort, sizes within one of each other.
 func TestPlanShapes(t *testing.T) {
-	key := lockstep.Key{Workload: "a", R: 1, Seed: 1}
+	key := lockstep.Key{R: 1, Seed: 1}
 	mkPts := func(n int) []lockstep.Point {
 		pts := make([]lockstep.Point, n)
 		for i := range pts {
@@ -136,11 +122,11 @@ func TestPlanShapes(t *testing.T) {
 	}
 }
 
-// TestPlanMixedCohorts: a grid spanning two trace identities plans into
-// per-identity groups with no cross-contamination.
+// TestPlanMixedCohorts: a grid spanning two trace identities is refused
+// outright rather than planned.
 func TestPlanMixedCohorts(t *testing.T) {
-	a := lockstep.Key{Workload: "a", K: 1, R: 1, Seed: 1}
-	b := lockstep.Key{Workload: "a", K: 2, R: 1, Seed: 1}
+	a := lockstep.Key{K: 1, R: 1, Seed: 1}
+	b := lockstep.Key{K: 2, R: 1, Seed: 1}
 	var pts []lockstep.Point
 	for i := 0; i < 20; i++ {
 		k := a
@@ -149,11 +135,5 @@ func TestPlanMixedCohorts(t *testing.T) {
 		}
 		pts = append(pts, pt(k, i))
 	}
-	for _, g := range lockstep.Plan(pts, lockstep.Options{MaxGroup: 4, Parallel: 2}) {
-		for _, i := range g.Indices {
-			if wantB := i%2 == 1; (g.Key == b) != wantB {
-				t.Fatalf("index %d planned into key %+v", i, g.Key)
-			}
-		}
-	}
+	mustPanic(t, pts)
 }

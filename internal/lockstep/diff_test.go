@@ -162,7 +162,7 @@ func TestLockstepPlanMatchesSerial(t *testing.T) {
 	for k := 0; k <= 2; k++ {
 		red := reduceWorkload(t, w, k)
 		want := serialResults(cfgs, red)
-		key := lockstep.Key{Workload: w.Name, K: k, R: 1, Seed: diffSeed}
+		key := lockstep.Key{K: k, R: 1, Seed: diffSeed}
 		pts := make([]lockstep.Point, len(cfgs))
 		for i := range cfgs {
 			pts[i] = lockstep.Point{Key: key, Index: i}

@@ -168,27 +168,27 @@ func TestRecorderConcurrentUse(t *testing.T) {
 
 type countSource struct{ n int }
 
-func (c *countSource) Next(d *trace.DynInst) bool {
-	if c.n == 0 {
-		return false
-	}
-	c.n--
-	return true
+func (c *countSource) NextBatch(dst []trace.DynInst) int {
+	k := min(c.n, len(dst))
+	clear(dst[:k])
+	c.n -= k
+	return k
 }
 
 func TestTimedSource(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(0, 0), step: time.Millisecond}
 	ts := NewTimedSource(&countSource{n: 5})
 	ts.now = clock.now
-	var d trace.DynInst
-	for ts.Next(&d) {
+	buf := make([]trace.DynInst, 2)
+	for ts.NextBatch(buf) > 0 {
 	}
 	if ts.Instructions() != 5 {
 		t.Fatalf("timed source counted %d instructions, want 5", ts.Instructions())
 	}
-	// 6 Next calls (5 hits + 1 EOF), 1ms per call under the fake clock.
-	if ts.Duration() != 6*time.Millisecond {
-		t.Fatalf("timed source duration %v, want 6ms", ts.Duration())
+	// 4 NextBatch calls (chunks of 2, 2 and 1, then EOF), 1ms per call
+	// under the fake clock.
+	if ts.Duration() != 4*time.Millisecond {
+		t.Fatalf("timed source duration %v, want 4ms", ts.Duration())
 	}
 }
 

@@ -87,10 +87,8 @@ func hashFloat(a, b uint64) float64 {
 // Seq returns the number of instructions emitted so far.
 func (e *Executor) Seq() uint64 { return e.seq }
 
-// Next implements trace.Source. A synthetic program never terminates,
-// so Next always returns true; callers bound runs with
-// trace.LimitSource or an explicit count.
-func (e *Executor) Next(out *trace.DynInst) bool {
+// step executes one instruction into out, setting every field.
+func (e *Executor) step(out *trace.DynInst) {
 	b := e.prog.Blocks[e.cur]
 	in := &b.Instrs[e.idx]
 
@@ -154,7 +152,6 @@ func (e *Executor) Next(out *trace.DynInst) bool {
 	}
 
 	e.seq++
-	return true
 }
 
 // evalBranch decides the direction/target of block b's terminating
@@ -241,14 +238,12 @@ func max64(a, b uint64) uint64 {
 	return b
 }
 
-// NextBatch implements trace.BatchSource. A synthetic program never
+// NextBatch implements trace.Source. A synthetic program never
 // terminates, so every batch comes back full; callers bound runs with
-// trace.LimitSource (whose batch path clips the final chunk) or an
-// explicit count. Next fully initialises every field of each record, so
-// recycled chunk buffers never leak stale data.
+// trace.LimitSource (which clips the final chunk) or an explicit count.
 func (e *Executor) NextBatch(dst []trace.DynInst) int {
 	for i := range dst {
-		e.Next(&dst[i])
+		e.step(&dst[i])
 	}
 	return len(dst)
 }
@@ -258,20 +253,15 @@ func (e *Executor) NextBatch(dst []trace.DynInst) int {
 func (e *Executor) Skip(n uint64) {
 	var d trace.DynInst
 	for i := uint64(0); i < n; i++ {
-		e.Next(&d)
+		e.step(&d)
 	}
 }
 
 // Run collects the next n instructions into a slice.
 func (e *Executor) Run(n int) []trace.DynInst {
 	out := make([]trace.DynInst, n)
-	for i := range out {
-		e.Next(&out[i])
-	}
+	e.NextBatch(out)
 	return out
 }
 
-var (
-	_ trace.Source      = (*Executor)(nil)
-	_ trace.BatchSource = (*Executor)(nil)
-)
+var _ trace.Source = (*Executor)(nil)

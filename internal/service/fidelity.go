@@ -41,11 +41,11 @@ type FidelitySpec struct {
 }
 
 // options maps the wire spec plus the request's profile coordinates
-// onto engine options. Validation beyond what the engine itself checks:
+// and synthetic-trace seed onto engine options. Validation beyond what the engine itself checks:
 // fractions must be sane and the stream length must respect the
 // server's profiling limit (fidelity replays the stream like profiling
 // does).
-func (f FidelitySpec) options(p ProfileSpec, opts Options) (fidelity.Options, error) {
+func (f FidelitySpec) options(p ProfileSpec, simSeed uint64, opts Options) (fidelity.Options, error) {
 	if f.TargetCI < 0 || f.TargetCI >= 1 {
 		return fidelity.Options{}, badRequest("fidelity.target_ci=%v outside (0,1)", f.TargetCI)
 	}
@@ -67,6 +67,7 @@ func (f FidelitySpec) options(p ProfileSpec, opts Options) (fidelity.Options, er
 		Interval:        f.Interval,
 		K:               p.K,
 		Seed:            p.Seed,
+		SimSeed:         simSeed,
 		MaxK:            f.MaxK,
 		Confidence:      f.Confidence,
 		TargetCI:        f.TargetCI,
@@ -175,7 +176,7 @@ func (s *Server) runFidelitySimulate(r *http.Request, req SimulateRequest) (any,
 	if err != nil {
 		return nil, err
 	}
-	fopts, err := req.Fidelity.options(req.Profile, s.opts)
+	fopts, err := req.Fidelity.options(req.Profile, req.SimSeed, s.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -211,6 +212,7 @@ func (s *Server) runFidelitySimulate(r *http.Request, req SimulateRequest) (any,
 		m.Workload = key.Workload
 		m.K = key.K
 		m.Seed = key.Seed
+		m.SimSeed = req.SimSeed
 		m.StreamLength = key.N
 		m.Fidelity = res.Manifest()
 	})
@@ -242,7 +244,7 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 	if err != nil {
 		return nil, err
 	}
-	fopts, err := req.Fidelity.options(req.Profile, s.opts)
+	fopts, err := req.Fidelity.options(req.Profile, req.SimSeed, s.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -303,6 +305,7 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 		m.Workload = key.Workload
 		m.K = key.K
 		m.Seed = key.Seed
+		m.SimSeed = req.SimSeed
 		m.StreamLength = key.N
 		m.Cost = manifestCost(entries)
 	})

@@ -1,14 +1,20 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/fidelity"
 	"repro/internal/obs"
 )
 
@@ -216,5 +222,96 @@ func TestFidelityManifest(t *testing.T) {
 	}
 	if m.Fidelity.IPCLo <= 0 || m.Fidelity.IPCHi <= m.Fidelity.IPCLo || m.Fidelity.Strata == 0 {
 		t.Errorf("manifest fidelity block: %+v", m.Fidelity)
+	}
+}
+
+// TestFidelityHonoursSimSeed: a fidelity /v1/simulate and a fidelity
+// /v1/sweep answer for the request's sim_seed — the same results as the
+// engine run with that SimSeed, different ones for another seed — and
+// record the seed in their manifests.
+func TestFidelityHonoursSimSeed(t *testing.T) {
+	dir := t.TempDir()
+	svc, ts := newTestServerOpts(t, Options{Workers: 4, CacheSize: 4,
+		JobTimeout: time.Minute, ManifestDir: dir})
+	spec := FidelitySpec{TargetCI: 0.5, Interval: 10_000}
+	profile := ProfileSpec{Workload: "gzip", K: 1, N: 100_000}
+	points := []SweepPoint{
+		{RUU: 16, LSQ: 8, Decode: 4, Issue: 4, Commit: 4},
+		{RUU: 64, LSQ: 32, Decode: 4, Issue: 4, Commit: 4},
+	}
+	w, err := core.LoadWorkload(profile.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := cpu.DefaultConfig()
+	encode := func(res *fidelity.Result) string {
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	// engine runs the engine directly with SimSeed simSeed: the default
+	// configuration (what /v1/simulate times), then each sweep point.
+	engine := func(simSeed uint64) []string {
+		opts, err := spec.options(profile, 0, svc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.SimSeed = simSeed
+		ctx := context.Background()
+		var out []string
+		for _, cfgs := range [][]cpu.Config{{base}, {points[0].Apply(base), points[1].Apply(base)}} {
+			eng, err := fidelity.New(ctx, svc.pool, base, w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range cfgs {
+				res, err := eng.Run(ctx, svc.pool, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, encode(res))
+			}
+		}
+		return out
+	}
+	served := func(simSeed uint64) []string {
+		var sim SimulateResponse
+		code, raw := postJSON(t, ts.URL+"/v1/simulate", map[string]any{
+			"profile": profile, "fidelity": spec, "sim_seed": simSeed}, &sim)
+		if code != http.StatusOK {
+			t.Fatalf("simulate status %d: %s", code, raw)
+		}
+		var sw SweepResponse
+		code, raw = postJSON(t, ts.URL+"/v1/sweep", map[string]any{
+			"profile": profile, "points": points, "fidelity": spec, "sim_seed": simSeed}, &sw)
+		if code != http.StatusOK {
+			t.Fatalf("sweep status %d: %s", code, raw)
+		}
+		out := []string{encode(sim.Fidelity)}
+		for _, row := range sw.Results {
+			out = append(out, encode(row.Fidelity))
+		}
+		return out
+	}
+	got7, got1 := served(7), served(1)
+	if want := engine(7); !slices.Equal(got7, want) {
+		t.Errorf("sim_seed 7 served\n%v\nwant the SimSeed 7 engine run\n%v", got7, want)
+	}
+	for i := range got7 {
+		if got7[i] == got1[i] {
+			t.Errorf("result %d is the same for sim_seed 7 and 1: %s", i, got7[i])
+		}
+	}
+	var seeds []string
+	for _, f := range manifestFiles(t, dir) {
+		m := readManifest(t, f)
+		seeds = append(seeds, m.Tool+" "+strconv.FormatUint(m.SimSeed, 10))
+	}
+	slices.Sort(seeds)
+	want := []string{"statsimd /v1/simulate 1", "statsimd /v1/simulate 7", "statsimd /v1/sweep 1", "statsimd /v1/sweep 7"}
+	if !slices.Equal(seeds, want) {
+		t.Errorf("manifest sim seeds %v, want %v", seeds, want)
 	}
 }

@@ -783,7 +783,8 @@ type SimulateRequest struct {
 	Config  ConfigSpec  `json:"config"`
 	// Target is the synthetic trace length aimed for (default 100k).
 	Target uint64 `json:"target"`
-	// SimSeed seeds synthetic trace generation (default 1).
+	// SimSeed seeds synthetic trace generation (default 1); on fidelity
+	// runs it is the engine's base seed.
 	SimSeed uint64 `json:"sim_seed"`
 	// Fidelity switches the request to the adaptive fidelity engine:
 	// the response carries confidence intervals and an escalation
@@ -837,14 +838,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) (any, er
 	if err := s.admit(); err != nil {
 		return nil, err
 	}
+	if req.SimSeed == 0 {
+		req.SimSeed = 1
+	}
 	if req.Fidelity != nil {
 		return s.runFidelitySimulate(r, req)
 	}
 	if req.Target == 0 {
 		req.Target = 100_000
-	}
-	if req.SimSeed == 0 {
-		req.SimSeed = 1
 	}
 	start := time.Now()
 	g, key, cached, err := s.resolveProfile(r.Context(), req.Profile)
@@ -1001,14 +1002,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 			return nil, badRequest("%v", err)
 		}
 	}
+	if req.SimSeed == 0 {
+		req.SimSeed = 1
+	}
 	if req.Fidelity != nil {
 		return s.runFidelitySweep(r, req, points)
 	}
 	if req.Target == 0 {
 		req.Target = 100_000
-	}
-	if req.SimSeed == 0 {
-		req.SimSeed = 1
 	}
 	start := time.Now()
 	ctx := r.Context()

@@ -274,23 +274,18 @@ func (p *profiler) finish() { p.bprof.Flush() }
 // Profile builds an order-k statistical flow graph from the committed
 // instruction stream src (step 1 of Figure 1). The stream must carry
 // valid BlockID/Index annotations (as produced by the functional
-// executor). The stream is consumed through the batch interface with a
-// pooled chunk buffer, so per-instruction interface dispatch and
-// steady-state allocation are both gone from the hot loop.
+// executor). The stream is read through a pooled chunk buffer, so the
+// hot loop pays no per-instruction interface dispatch and no
+// steady-state allocation.
 func Profile(src trace.Source, opts Options) (*Graph, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	p := newProfiler(opts, opts.Warmup, false)
-	bs := trace.Batched(src)
 	buf := trace.GetBatch()
 	defer trace.PutBatch(buf)
-	for {
-		n := bs.NextBatch(buf)
-		if n == 0 {
-			break
-		}
+	for n := src.NextBatch(buf); n > 0; n = src.NextBatch(buf) {
 		if err := p.feed(buf[:n]); err != nil {
 			return nil, err
 		}

@@ -69,7 +69,7 @@ func ProfileSharded(src trace.Source, opts Options, so ShardOptions) (*Graph, er
 		return nil, err
 	}
 
-	insts := trace.CollectBatch(trace.Batched(src), 0)
+	insts := trace.Collect(src, 0)
 	// The caller-requested warm window is consumed by shard 0 with the
 	// sequential semantics (state warm, history cold).
 	prefix := insts

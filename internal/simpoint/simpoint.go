@@ -57,7 +57,6 @@ func BBVs(src trace.Source, opts Options) ([][]float64, error) {
 	var vecs [][]float64
 	counts := map[int32]uint64{}
 	var n uint64
-	var d trace.DynInst
 	flush := func() {
 		if n == 0 {
 			return
@@ -81,11 +80,15 @@ func BBVs(src trace.Source, opts Options) ([][]float64, error) {
 		counts = map[int32]uint64{}
 		n = 0
 	}
-	for src.Next(&d) {
-		counts[d.BlockID]++
-		n++
-		if n >= opts.IntervalLen {
-			flush()
+	buf := trace.GetBatch()
+	defer trace.PutBatch(buf)
+	for k := src.NextBatch(buf); k > 0; k = src.NextBatch(buf) {
+		for i := range buf[:k] {
+			counts[buf[i].BlockID]++
+			n++
+			if n >= opts.IntervalLen {
+				flush()
+			}
 		}
 	}
 	// A trailing partial interval is kept only if it is at least half

@@ -9,7 +9,7 @@ import (
 // TestTraceSourceZeroAllocSteadyState pins the zero-allocation property
 // of the random walk: Reduce precomputes the alias-backed CDFs and the
 // maximum block/out-degree, NewTrace preallocates every per-walk
-// buffer, so after warm-up neither Next nor NextBatch allocates.
+// buffer, so after warm-up NextBatch does not allocate.
 // Skipped under -race: the race runtime instruments allocations.
 func TestTraceSourceZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -21,33 +21,16 @@ func TestTraceSourceZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts := r.NewTrace(1)
-	var d trace.DynInst
-	for i := 0; i < 2048; i++ { // warm: histograms frozen, buffers sized
-		if !ts.Next(&d) {
-			t.Fatal("trace ended during warm-up; enlarge the profile")
-		}
-	}
-	if a := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 64; i++ {
-			if !ts.Next(&d) {
-				t.Fatal("trace ended mid-measurement")
-			}
-		}
-	}); a != 0 {
-		t.Errorf("TraceSource.Next: %v allocs/run in steady state, want 0", a)
-	}
-
-	tb := r.NewTrace(2)
+	ts := r.NewTrace(2)
 	buf := make([]trace.DynInst, 128)
 	for i := 0; i < 8; i++ {
-		if tb.NextBatch(buf) == 0 {
-			t.Fatal("batch trace ended during warm-up")
+		if ts.NextBatch(buf) == 0 {
+			t.Fatal("trace ended during warm-up")
 		}
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if tb.NextBatch(buf) == 0 {
-			t.Fatal("batch trace ended mid-measurement")
+		if ts.NextBatch(buf) == 0 {
+			t.Fatal("trace ended mid-measurement")
 		}
 	}); a != 0 {
 		t.Errorf("TraceSource.NextBatch: %v allocs/run in steady state, want 0", a)

@@ -238,21 +238,8 @@ func (r *Reduced) NewTrace(seed uint64) *TraceSource {
 	return t
 }
 
-// Next implements trace.Source.
-func (t *TraceSource) Next(out *trace.DynInst) bool {
-	for t.bufPos >= len(t.buf) {
-		if !t.step() {
-			return false
-		}
-	}
-	*out = t.buf[t.bufPos]
-	t.bufPos++
-	return true
-}
-
-// NextBatch implements trace.BatchSource: it drains whole blocks of
-// the walk into dst, copying straight out of the block buffer, so
-// batch consumers skip the per-instruction Next dispatch.
+// NextBatch implements trace.Source: it drains whole blocks of the
+// walk into dst, copying straight out of the block buffer.
 func (t *TraceSource) NextBatch(dst []trace.DynInst) int {
 	n := 0
 	for n < len(dst) {
@@ -550,7 +537,4 @@ func (t *TraceSource) bernoulli(num, den uint64) bool {
 // Generated returns how many instructions have been emitted so far.
 func (t *TraceSource) Generated() uint64 { return t.seq }
 
-var (
-	_ trace.Source      = (*TraceSource)(nil)
-	_ trace.BatchSource = (*TraceSource)(nil)
-)
+var _ trace.Source = (*TraceSource)(nil)

@@ -180,10 +180,12 @@ func TestCursorCompactionPreservesContent(t *testing.T) {
 // endlessSource is an unbounded stream for steady-state measurements.
 type endlessSource struct{ pc uint64 }
 
-func (s *endlessSource) Next(d *DynInst) bool {
-	*d = DynInst{PC: s.pc}
-	s.pc++
-	return true
+func (s *endlessSource) NextBatch(dst []DynInst) int {
+	for i := range dst {
+		dst[i] = DynInst{PC: s.pc}
+		s.pc++
+	}
+	return len(dst)
 }
 
 // TestCursorZeroAllocSteadyState pins the in-place read path's

@@ -33,13 +33,16 @@ func WriteTrace(w io.Writer, src Source) (uint64, error) {
 	}
 	var buf [recordBytes]byte
 	var n uint64
-	var d DynInst
-	for src.Next(&d) {
-		encodeRecord(&buf, &d)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return n, err
+	chunk := GetBatch()
+	defer PutBatch(chunk)
+	for k := src.NextBatch(chunk); k > 0; k = src.NextBatch(chunk) {
+		for i := range chunk[:k] {
+			encodeRecord(&buf, &chunk[i])
+			if _, err := bw.Write(buf[:]); err != nil {
+				return n, err
+			}
+			n++
 		}
-		n++
 	}
 	return n, bw.Flush()
 }
@@ -99,22 +102,19 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{br: br}, nil
 }
 
-// Next implements Source.
-func (r *Reader) Next(out *DynInst) bool {
-	if r.err != nil {
-		return false
-	}
+// NextBatch implements Source, decoding records straight into dst. A
+// read error or a truncated final record ends the stream; Err reports
+// it.
+func (r *Reader) NextBatch(dst []DynInst) int {
 	var buf [recordBytes]byte
-	if _, err := io.ReadFull(r.br, buf[:]); err != nil {
-		if err != io.EOF {
-			r.err = err
-		} else {
-			r.err = io.EOF
+	n := 0
+	for ; n < len(dst) && r.err == nil; n++ {
+		if _, r.err = io.ReadFull(r.br, buf[:]); r.err != nil {
+			break
 		}
-		return false
+		decodeRecord(&buf, &dst[n])
 	}
-	decodeRecord(&buf, out)
-	return true
+	return n
 }
 
 // Err returns the first non-EOF error encountered while reading.

@@ -67,8 +67,7 @@ func TestTraceFileEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d DynInst
-	if r.Next(&d) {
+	if r.NextBatch(make([]DynInst, 1)) != 0 {
 		t.Error("empty trace produced a record")
 	}
 	if r.Err() != nil {

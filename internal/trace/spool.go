@@ -2,7 +2,7 @@ package trace
 
 import "sync"
 
-// Spool materialises one BatchSource stream exactly once into a sliding
+// Spool materialises one Source stream exactly once into a sliding
 // window and serves it in place to N Cursor consumers — the one stream
 // buffer behind both a single pipeline's fetch (a one-cursor spool) and
 // lockstep multi-config simulation, where a single synthetic-trace
@@ -28,7 +28,7 @@ import "sync"
 // regrow its window from empty: one finished run's window serves the
 // next run's spool, possibly on another goroutine.
 type Spool struct {
-	src     BatchSource
+	src     Source
 	base    uint64 // stream position of window[0]
 	window  []DynInst
 	pooled  *[]DynInst // the pool's holder of window's backing array, nil when none is held
@@ -40,10 +40,10 @@ type Spool struct {
 // not allocate a slice header.
 var windowPool = sync.Pool{New: func() any { return new([]DynInst) }}
 
-// NewSpool wraps src (adapted to the batch interface if needed) for
-// multi-cursor consumption. The source must not be read by anyone else.
+// NewSpool wraps src for multi-cursor consumption. The source must not
+// be read by anyone else.
 func NewSpool(src Source) *Spool {
-	return &Spool{src: Batched(src)}
+	return &Spool{src: src}
 }
 
 // NewCursor registers a new consumer, free to read from the start of

@@ -7,9 +7,19 @@
 // mispredictions — are computed live by cache and predictor models) and
 // synthetic-trace simulation (where the statistical trace generator
 // pre-assigns the same events as per-instruction flags, §2.2 steps 5-7).
+//
+// The stream is one interface, Source, read a chunk at a time: every
+// producer (the functional executor, the synthetic generators, the
+// trace-file reader) fills caller-owned chunks, and every consumer reads
+// them, most through a pooled GetBatch buffer or a Spool window.
 package trace
 
-import "repro/internal/isa"
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/isa"
+)
 
 // Flags carries the pre-assigned locality events of a synthetic-trace
 // record. Execution-driven simulation ignores them and computes the
@@ -62,12 +72,47 @@ type DynInst struct {
 // IsBranch reports whether the instruction transfers control.
 func (d *DynInst) IsBranch() bool { return d.Class.IsBranch() }
 
-// Source produces a dynamic instruction stream. Next fills *out and
-// reports whether an instruction was produced; once it returns false the
-// stream is exhausted and subsequent calls must keep returning false.
+// DefaultBatchSize is the chunk length producers and consumers use by
+// default. It is large enough to amortise interface dispatch to well
+// under a nanosecond per instruction and small enough (72 KiB of
+// DynInst) to stay cache-resident.
+const DefaultBatchSize = 1024
+
+// Source produces the dynamic instruction stream in chunks, so no hot
+// path pays an interface call per instruction (functional execution,
+// profiling, synthetic generation, fetch).
+//
+// Contract: NextBatch fills a prefix of dst and returns its length.
+// Every element of dst[:n] must be fully initialised — dst may hold
+// stale records recycled from a previous refill. A return of 0 means
+// end of stream and is sticky: subsequent calls keep returning 0. A
+// short (non-zero) return does NOT signal end of stream; callers must
+// keep calling until 0. NextBatch must not retain dst.
 type Source interface {
-	Next(out *DynInst) bool
+	NextBatch(dst []DynInst) int
 }
+
+// batchPool recycles chunk buffers so steady-state streaming does not
+// allocate.
+var batchPool = sync.Pool{
+	New: func() any { return make([]DynInst, DefaultBatchSize) },
+}
+
+// GetBatch returns a DefaultBatchSize chunk buffer from the shared
+// pool; return it with PutBatch when done.
+func GetBatch() []DynInst { return batchPool.Get().([]DynInst) }
+
+// PutBatch returns a chunk buffer obtained from GetBatch to the pool.
+func PutBatch(buf []DynInst) {
+	if cap(buf) >= DefaultBatchSize {
+		batchPool.Put(buf[:DefaultBatchSize])
+	}
+}
+
+// Batched returns src unchanged. Only statbench's layer-by-layer replay
+// (bench/statbench/replay.go) still calls it; it goes when the replay
+// is deleted (ROADMAP, "The daemon explains its own time").
+func Batched(src Source) Source { return src }
 
 // SliceSource replays a pre-materialised stream. It is primarily used
 // by tests and by the synthetic-trace pipeline when traces are small
@@ -82,50 +127,70 @@ func NewSliceSource(insts []DynInst) *SliceSource {
 	return &SliceSource{Insts: insts}
 }
 
-// Next implements Source.
-func (s *SliceSource) Next(out *DynInst) bool {
-	if s.pos >= len(s.Insts) {
-		return false
-	}
-	*out = s.Insts[s.pos]
-	s.pos++
-	return true
+// NextBatch implements Source, copying straight out of the backing
+// slice.
+func (s *SliceSource) NextBatch(dst []DynInst) int {
+	n := copy(dst, s.Insts[s.pos:])
+	s.pos += n
+	return n
 }
 
 // Reset rewinds the source to the beginning of the stream.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
-// LimitSource truncates an underlying source after N instructions.
+// LimitSource truncates an underlying source after N instructions. It
+// clips the final chunk at the limit, so it never reads past N from
+// Src.
 type LimitSource struct {
 	Src  Source
 	N    uint64
 	seen uint64
-
-	batch BatchSource // cached batched view of Src (see NextBatch)
 }
 
-// Next implements Source.
-func (l *LimitSource) Next(out *DynInst) bool {
+// NextBatch implements Source.
+func (l *LimitSource) NextBatch(dst []DynInst) int {
 	if l.seen >= l.N {
-		return false
+		return 0
 	}
-	if !l.Src.Next(out) {
-		return false
+	if rem := l.N - l.seen; uint64(len(dst)) > rem {
+		dst = dst[:rem]
 	}
-	l.seen++
-	return true
+	n := l.Src.NextBatch(dst)
+	l.seen += uint64(n)
+	return n
 }
 
 // Collect drains up to max instructions from src into a slice. A max of
-// 0 means no limit. It streams through the batch interface (batch-native
-// sources deliver chunks directly; plain sources are adapted) and never
-// consumes past max.
+// 0 means no limit. Chunks are read straight into the result, and never
+// past max.
 func Collect(src Source, max int) []DynInst {
-	return CollectBatch(Batched(src), max)
+	var out []DynInst
+	for {
+		k := DefaultBatchSize
+		if max > 0 {
+			if k = min(k, max-len(out)); k == 0 {
+				return out
+			}
+		}
+		out = slices.Grow(out, k)
+		n := src.NextBatch(out[len(out) : len(out)+k])
+		if n == 0 {
+			return out
+		}
+		out = out[:len(out)+n]
+	}
 }
 
-// FuncSource adapts a closure to the Source interface.
+// FuncSource adapts a closure to the Source interface. The closure
+// fully sets *out and reports whether it produced an instruction; once
+// it returns false it must keep returning false.
 type FuncSource func(out *DynInst) bool
 
-// Next implements Source.
-func (f FuncSource) Next(out *DynInst) bool { return f(out) }
+// NextBatch implements Source.
+func (f FuncSource) NextBatch(dst []DynInst) int {
+	n := 0
+	for n < len(dst) && f(&dst[n]) {
+		n++
+	}
+	return n
+}

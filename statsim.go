@@ -58,7 +58,11 @@ type Graph = sfg.Graph
 // update discipline, warmup).
 type ProfileOptions = core.ProfileOptions
 
-// Source is a dynamic instruction stream.
+// Source is a dynamic instruction stream, read in chunks: NextBatch
+// fills a prefix of dst with fully initialised records and returns its
+// length, returning 0 only at end of stream (and from then on). Every
+// stream this package returns implements it; the record type is
+// internal, so callers pass streams along rather than implement them.
 type Source = trace.Source
 
 // DefaultConfig returns the paper's Table 2 baseline configuration: an
