@@ -7,6 +7,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/resultstore"
+	"repro/internal/service"
 	"repro/internal/surrogate"
 	"repro/internal/trace"
 )
@@ -87,7 +88,7 @@ func BenchmarkDSE(b *testing.B) {
 	s := benchScale()
 	s.Benchmarks = []string{"gzip"}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DSE(s, experiments.QuickGrid()); err != nil {
+		if _, err := experiments.DSE(s, service.QuickGrid()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/service"
 )
 
 func main() {
@@ -83,9 +84,9 @@ func main() {
 		case "fig8":
 			res, err = experiments.Fig8(scale, *units)
 		case "dse":
-			g := experiments.PaperGrid()
+			g := service.PaperGrid()
 			if *grid == "quick" {
-				g = experiments.QuickGrid()
+				g = service.QuickGrid()
 			}
 			res, err = experiments.DSE(scale, g)
 		default:

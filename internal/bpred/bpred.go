@@ -1,8 +1,8 @@
 // Package bpred implements the branch-prediction substrate: a hybrid
 // predictor per the paper's Table 2 (an 8K-entry meta chooser selecting
 // between an 8K-entry bimodal predictor and an 8K x 8K two-level local
-// predictor that XORs local history with the branch PC), a 512-entry
-// 4-way BTB, and a return-address stack.
+// predictor that XORs local history with the branch PC) and a 512-entry
+// 4-way BTB.
 //
 // It also provides the two branch-profiling disciplines compared in
 // §2.1.3: immediate update (classic single-pass profiling) and delayed
@@ -51,16 +51,6 @@ func (k Kind) String() string {
 	return "kind?"
 }
 
-// KindByName resolves a predictor kind from its short name.
-func KindByName(name string) (Kind, error) {
-	for k, n := range kindNames {
-		if n == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("bpred: unknown predictor kind %q", name)
-}
-
 // Config sizes the predictor. All table entry counts must be powers of
 // two. The zero value is unusable; start from DefaultConfig.
 type Config struct {
@@ -71,7 +61,11 @@ type Config struct {
 	MetaEntries    int // 2-bit chooser counters
 	BTBEntries     int
 	BTBAssoc       int
-	RASEntries     int
+	// RASEntries is Table 2's return-address stack depth. No model
+	// reads it: the abstract ISA folds calls and returns into the
+	// indirect-branch class. It stays because every stored result and
+	// journal is keyed by a fingerprint of the whole config.
+	RASEntries int
 }
 
 // DefaultConfig returns the paper's Table 2 predictor: 8K-entry hybrid

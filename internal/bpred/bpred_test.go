@@ -253,34 +253,6 @@ func TestDelayedProfilerFlushEmpty(t *testing.T) {
 	dp.Flush() // must not panic on empty FIFO
 }
 
-func TestRAS(t *testing.T) {
-	r := NewRAS(3)
-	if _, ok := r.Pop(); ok {
-		t.Error("empty RAS popped")
-	}
-	r.Push(1)
-	r.Push(2)
-	r.Push(3)
-	r.Push(4) // wraps, overwriting 1
-	if r.Depth() != 3 {
-		t.Errorf("depth = %d, want 3", r.Depth())
-	}
-	for _, want := range []uint64{4, 3, 2} {
-		got, ok := r.Pop()
-		if !ok || got != want {
-			t.Fatalf("Pop = %d/%v, want %d", got, ok, want)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Error("RAS should be empty after draining")
-	}
-	zero := NewRAS(0)
-	zero.Push(9)
-	if _, ok := zero.Pop(); ok {
-		t.Error("zero-capacity RAS must always miss")
-	}
-}
-
 func TestPredictorScalingImprovesAliasedAccuracy(t *testing.T) {
 	// Many branches with conflicting biases alias in a tiny predictor
 	// but not in a large one.

@@ -114,18 +114,16 @@ func TestTwoLevelLocalAlone(t *testing.T) {
 }
 
 func TestKindNames(t *testing.T) {
+	seen := map[string]Kind{}
 	for _, k := range []Kind{KindHybrid, KindBimodal, KindTwoLevelLocal, KindGShare, KindStaticTaken, KindStaticNotTaken} {
 		name := k.String()
 		if name == "kind?" {
 			t.Fatalf("kind %d has no name", k)
 		}
-		got, err := KindByName(name)
-		if err != nil || got != k {
-			t.Errorf("KindByName(%q) = %v, %v", name, got, err)
+		if other, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", other, k, name)
 		}
-	}
-	if _, err := KindByName("nope"); err == nil {
-		t.Error("bogus kind accepted")
+		seen[name] = k
 	}
 	if Kind(99).String() != "kind?" {
 		t.Error("unknown kind should stringify to kind?")

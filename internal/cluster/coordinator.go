@@ -30,8 +30,6 @@ type Config struct {
 	// Replication is how many distinct owners each profile key has on
 	// the ring (default 2, clamped to the node count).
 	Replication int
-	// VirtualNodes per peer on the ring (default 64).
-	VirtualNodes int
 	// ChunkSize bounds one sub-sweep RPC (default 16 points). Smaller
 	// chunks lose less work when a peer dies mid-sweep; larger chunks
 	// amortise RPC overhead.
@@ -69,9 +67,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Replication <= 0 {
 		c.Replication = 2
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
 	}
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 16
@@ -154,7 +149,7 @@ func New(cfg Config) (*Coordinator, error) {
 	sort.Strings(remote)
 	c := &Coordinator{
 		cfg:   cfg,
-		ring:  newRing(append([]string{cfg.Self}, remote...), cfg.VirtualNodes),
+		ring:  newRing(append([]string{cfg.Self}, remote...)),
 		peers: newPeerSet(remote),
 		log:   cfg.Logger,
 	}

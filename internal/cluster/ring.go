@@ -18,8 +18,11 @@ import (
 	"repro/internal/service"
 )
 
+// virtualNodes is how many times each peer is hashed onto the ring.
+const virtualNodes = 64
+
 // ring is a consistent-hash ring with virtual nodes. Each peer name is
-// hashed onto the ring vnodes times; a key's owners are the first
+// hashed onto the ring virtualNodes times; a key's owners are the first
 // distinct peers clockwise from the key's hash. Peer membership is
 // fixed at construction (the daemon's peer list is static
 // configuration); health is layered on top by the coordinator, which
@@ -50,11 +53,8 @@ func hash64(s string) uint64 {
 }
 
 // newRing builds a ring over the given peer names (duplicates
-// collapsed) with vnodes virtual nodes per peer.
-func newRing(names []string, vnodes int) *ring {
-	if vnodes < 1 {
-		vnodes = 1
-	}
+// collapsed).
+func newRing(names []string) *ring {
 	seen := make(map[string]bool, len(names))
 	r := &ring{}
 	for _, n := range names {
@@ -69,9 +69,9 @@ func newRing(names []string, vnodes int) *ring {
 		hash  uint64
 		owner int
 	}
-	vs := make([]vnode, 0, len(r.names)*vnodes)
+	vs := make([]vnode, 0, len(r.names)*virtualNodes)
 	for oi, n := range r.names {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			vs = append(vs, vnode{hash: hash64(fmt.Sprintf("%s#%d", n, v)), owner: oi})
 		}
 	}

@@ -14,12 +14,12 @@ func ringPeers(n int) []string {
 }
 
 func TestRingDeterministic(t *testing.T) {
-	a := newRing(ringPeers(5), 64)
+	a := newRing(ringPeers(5))
 	// Same membership presented in a different order must build the
 	// identical ring: ownership is what every node must agree on.
 	shuffled := []string{"http://node-3:8417", "http://node-0:8417", "http://node-4:8417",
 		"http://node-1:8417", "http://node-2:8417"}
-	b := newRing(shuffled, 64)
+	b := newRing(shuffled)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		oa, ob := a.Owners(key, 2), b.Owners(key, 2)
@@ -30,7 +30,7 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 func TestRingDistinctReplicas(t *testing.T) {
-	r := newRing(ringPeers(4), 64)
+	r := newRing(ringPeers(4))
 	for i := 0; i < 200; i++ {
 		owners := r.Owners(fmt.Sprintf("key-%d", i), 3)
 		if len(owners) != 3 {
@@ -47,7 +47,7 @@ func TestRingDistinctReplicas(t *testing.T) {
 }
 
 func TestRingReplicationClamped(t *testing.T) {
-	r := newRing(ringPeers(2), 16)
+	r := newRing(ringPeers(2))
 	if got := r.Owners("k", 5); len(got) != 2 {
 		t.Errorf("owners not clamped to peer count: %v", got)
 	}
@@ -59,7 +59,7 @@ func TestRingReplicationClamped(t *testing.T) {
 func TestRingBalance(t *testing.T) {
 	const keys = 4000
 	peers := ringPeers(4)
-	r := newRing(peers, 64)
+	r := newRing(peers)
 	counts := map[string]int{}
 	for i := 0; i < keys; i++ {
 		counts[r.Owners(fmt.Sprintf("key-%d", i), 1)[0]]++
@@ -77,8 +77,8 @@ func TestRingBalance(t *testing.T) {
 
 func TestRingMinimalMovement(t *testing.T) {
 	const keys = 2000
-	full := newRing(ringPeers(5), 64)
-	smaller := newRing(ringPeers(4), 64) // node-4 removed
+	full := newRing(ringPeers(5))
+	smaller := newRing(ringPeers(4)) // node-4 removed
 
 	moved := 0
 	for i := 0; i < keys; i++ {

@@ -82,13 +82,14 @@ func SimulateTrace(cfg cpu.Config, src trace.Source) Metrics {
 	return Metrics{Result: res, Power: power.Estimate(cfg, res)}
 }
 
-// ProfileOptions configures statistical profiling; zero values follow
-// the paper (order-1 SFG, delayed update with a FIFO the size of the
-// IFQ, Table 2 locality structures taken from the CPU config).
+// ProfileOptions configures statistical profiling. K is the SFG order
+// as given (0 is the zero-order SFG). The zero value of the rest follows
+// the paper: delayed update, sequential profiling, no warm-up. The
+// locality structures come from the CPU config, and the delayed-update
+// FIFO is as deep as its IFQ (§2.1.3).
 type ProfileOptions struct {
 	K               int
 	ImmediateUpdate bool
-	FIFOSize        int    // defaults to cfg.IFQSize
 	Warmup          uint64 // leading instructions that only warm locality state
 
 	// Shards > 1 enables parallel sharded profiling (sfg.ProfileSharded):
@@ -103,16 +104,12 @@ type ProfileOptions struct {
 // Profile measures the statistical profile of src under the locality
 // structures of cfg.
 func Profile(cfg cpu.Config, src trace.Source, opts ProfileOptions) (*sfg.Graph, error) {
-	fifo := opts.FIFOSize
-	if fifo == 0 {
-		fifo = cfg.IFQSize
-	}
 	sopts := sfg.Options{
 		K:               opts.K,
 		Hier:            cfg.Hier,
 		Bpred:           cfg.Bpred,
 		ImmediateUpdate: opts.ImmediateUpdate,
-		FIFOSize:        fifo,
+		FIFOSize:        cfg.IFQSize,
 		Warmup:          opts.Warmup,
 	}
 	if opts.Shards > 1 {

@@ -9,26 +9,12 @@ import (
 	"repro/internal/service"
 )
 
-// DSEPoint is one design point of the §4.6 exploration. It is the
-// service layer's sweep point: the CLI sweep, the statsimd daemon and
-// this experiment all walk the same design space through the same
-// parallel sweep implementation.
-type DSEPoint = service.SweepPoint
-
-// PaperGrid returns the paper's 1,792-point design space: RUU in
-// {8..128} x LSQ in {4..64} with LSQ <= RUU/2 (28 pairs), and decode,
-// issue and commit widths each in {2,4,6,8}.
-func PaperGrid() []DSEPoint { return service.PaperGrid() }
-
-// QuickGrid is a reduced design space for tests and smoke runs.
-func QuickGrid() []DSEPoint { return service.QuickGrid() }
-
 // DSEBenchResult is the exploration outcome for one benchmark.
 type DSEBenchResult struct {
 	Name string
 	// SSBest is the EDP-optimal point according to statistical
 	// simulation; SSBestEDP its statistically estimated EDP.
-	SSBest    DSEPoint
+	SSBest    service.SweepPoint
 	SSBestEDP float64
 	// Candidates counts points whose statistical EDP lies within 3% of
 	// the optimum (the paper's "region of energy-efficient designs").
@@ -36,7 +22,7 @@ type DSEBenchResult struct {
 	// EDSBest is the best of the candidate set under execution-driven
 	// simulation; MissPct is how far (in EDS EDP) the SS choice landed
 	// from it (0 = statistical simulation identified the optimum).
-	EDSBest DSEPoint
+	EDSBest service.SweepPoint
 	MissPct float64
 }
 
@@ -51,11 +37,13 @@ type DSEResult struct {
 // verifies with execution-driven simulation of the candidate region —
 // the paper's §4.6 protocol, where statistical simulation found the
 // optimal design for 7 of 10 benchmarks and landed within 1.24% of it
-// for the rest.
-func DSE(s Scale, grid []DSEPoint) (*DSEResult, error) {
+// for the rest. The grid is the service layer's: the CLI sweep, the
+// statsimd daemon and this experiment walk the same design space
+// through the same sweep engine. An empty grid means service.PaperGrid.
+func DSE(s Scale, grid []service.SweepPoint) (*DSEResult, error) {
 	s = s.withDefaults()
 	if len(grid) == 0 {
-		grid = PaperGrid()
+		grid = service.PaperGrid()
 	}
 	ws, err := s.workloads()
 	if err != nil {

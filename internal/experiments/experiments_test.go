@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/service"
 )
 
 // quick returns a small scale that exercises every code path fast.
@@ -198,7 +200,7 @@ func TestTable4Shape(t *testing.T) {
 func TestDSEShape(t *testing.T) {
 	s := quick()
 	s.Benchmarks = []string{"gzip"}
-	r, err := DSE(s, QuickGrid())
+	r, err := DSE(s, service.QuickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestAblationShape(t *testing.T) {
 }
 
 func TestPaperGridSize(t *testing.T) {
-	if got := len(PaperGrid()); got != 1792 {
+	if got := len(service.PaperGrid()); got != 1792 {
 		t.Fatalf("paper grid has %d points, want 1792", got)
 	}
 }

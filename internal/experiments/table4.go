@@ -233,21 +233,6 @@ func runSweep(s Scale, ws []core.Workload, spec sweepSpec) (Table4Sweep, error) 
 	return sweep, nil
 }
 
-// MaxError returns the largest relative error anywhere in the table.
-func (r *Table4Result) MaxError() float64 {
-	var max float64
-	for _, sw := range r.Sweeps {
-		for _, tr := range sw.Transitions {
-			for _, e := range tr.Errors {
-				if e > max {
-					max = e
-				}
-			}
-		}
-	}
-	return max
-}
-
 // Render returns the table as text.
 func (r *Table4Result) Render() string {
 	out := "Table 4: relative prediction errors (averaged over benchmarks)\n"

@@ -59,8 +59,9 @@ type Pool interface {
 	Do(ctx context.Context, fn func(context.Context) error) error
 }
 
-// Options configures the engine. The zero value of every field takes a
-// documented default; N is required.
+// Options configures the engine. N is required and K is taken as given
+// (0 is the zero-order SFG); the zero value of every other field takes
+// a documented default.
 type Options struct {
 	// N is the committed-stream length to cover (required).
 	N uint64
@@ -68,37 +69,13 @@ type Options struct {
 	// floor 1,000). Intervals are the sampling units; the detailed
 	// budget is spent in whole intervals.
 	Interval uint64
-	// Warmup is the detailed warm window: each detailed interval run is
-	// preceded by up to this many instructions through the full
-	// execution-driven model (unmeasured) so pipeline state — RUU and
-	// queue occupancy, in-flight misses — is realistic at the interval
-	// boundary (default Interval/2, capped at 2,000: pipeline ramp is
-	// short). Warm instructions count against the detailed budget.
-	//
-	// Cache and branch-predictor state needs far more history than any
-	// affordable detailed window (SMARTS's cold-structure problem), so
-	// the engine always carries it across the entire prefix by
-	// functional warming — cheap locality-only replay (cpu.WarmState
-	// for detailed runs, the profiler's warm phase for cheap ones) that
-	// does not count as detailed simulation.
-	Warmup uint64
-	// K is the SFG order for the cheap per-interval profiles (default 1).
+	// K is the SFG order for the cheap per-interval profiles.
 	K int
 	// Seed is the workload execution seed (default 1).
 	Seed uint64
 	// SimSeed is the base synthetic-trace seed; replication r of any
 	// interval uses SimSeed+r (default 1).
 	SimSeed uint64
-	// CheapSeeds is the number of synthetic-trace replications per
-	// sampled interval (default 3); their mean is the interval's cheap
-	// observation and their spread seeds singleton-stratum variance.
-	CheapSeeds int
-	// SamplesPerStratum is the number of member intervals sampled per
-	// stratum (default 3, clamped to the stratum's population).
-	SamplesPerStratum int
-	// CheapTarget is the synthetic trace length per cheap replication
-	// (default Interval/5, floor 2,000).
-	CheapTarget uint64
 	// MaxK bounds the number of strata (simpoint.Options.MaxK,
 	// default 10).
 	MaxK int
@@ -115,17 +92,43 @@ type Options struct {
 	// past this fraction of the covered stream (default 0.25; negative
 	// disables escalation entirely).
 	MaxDetailedFrac float64
-
-	// CheapBias is the relative bias allowance per cheap-estimated
-	// stratum (default 0.15 — a bound on the statistical model's
-	// systematic CPI error, cf. the §4.2 reproduction where per-
-	// workload IPC error reaches 14%).
-	CheapBias float64
-	// DetailedBias is the residual relative allowance per detailed
-	// stratum, covering interval-boundary and warm-up approximation
-	// (default 0.015).
-	DetailedBias float64
 }
+
+// The engine's fixed sampling and error model.
+const (
+	// maxWarmup caps the detailed warm window. Each detailed interval
+	// run is preceded by min(Interval/2, maxWarmup, interval start)
+	// instructions through the full execution-driven model (unmeasured)
+	// so pipeline state — RUU and queue occupancy, in-flight misses —
+	// is realistic at the interval boundary; pipeline ramp is short.
+	// Warm instructions count against the detailed budget.
+	//
+	// Cache and branch-predictor state needs far more history than any
+	// affordable detailed window (SMARTS's cold-structure problem), so
+	// the engine always carries it across the entire prefix by
+	// functional warming — cheap locality-only replay (cpu.WarmState
+	// for detailed runs, the profiler's warm phase for cheap ones) that
+	// does not count as detailed simulation.
+	maxWarmup = 2000
+	// cheapSeeds is the number of synthetic-trace replications per
+	// sampled interval; their mean is the interval's cheap observation
+	// and their spread seeds singleton-stratum variance.
+	cheapSeeds = 3
+	// samplesPerStratum is the number of member intervals sampled per
+	// stratum (clamped to the stratum's population).
+	samplesPerStratum = 3
+	// minCheapTarget floors the synthetic trace length per cheap
+	// replication, max(Interval/5, minCheapTarget).
+	minCheapTarget = 2000
+	// cheapBias is the relative bias allowance per cheap-estimated
+	// stratum: a bound on the statistical model's systematic CPI error,
+	// cf. the §4.2 reproduction where per-workload IPC error reaches
+	// 14%.
+	cheapBias = 0.15
+	// detailedBias is the residual relative allowance per detailed
+	// stratum, covering interval-boundary and warm-up approximation.
+	detailedBias = 0.015
+)
 
 func (o Options) withDefaults() (Options, error) {
 	if o.N == 0 {
@@ -140,32 +143,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Interval > o.N {
 		return o, fmt.Errorf("fidelity: interval %d exceeds stream length %d", o.Interval, o.N)
 	}
-	if o.Warmup == 0 {
-		o.Warmup = o.Interval / 2
-		if o.Warmup > 2000 {
-			o.Warmup = 2000
-		}
-	}
-	if o.K == 0 {
-		o.K = 1
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	if o.SimSeed == 0 {
 		o.SimSeed = 1
-	}
-	if o.CheapSeeds <= 0 {
-		o.CheapSeeds = 3
-	}
-	if o.SamplesPerStratum <= 0 {
-		o.SamplesPerStratum = 3
-	}
-	if o.CheapTarget == 0 {
-		o.CheapTarget = o.Interval / 5
-		if o.CheapTarget < 2000 {
-			o.CheapTarget = 2000
-		}
 	}
 	if o.MaxK == 0 {
 		o.MaxK = 10
@@ -178,12 +160,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MaxDetailedFrac == 0 {
 		o.MaxDetailedFrac = 0.25
-	}
-	if o.CheapBias == 0 {
-		o.CheapBias = 0.15
-	}
-	if o.DetailedBias == 0 {
-		o.DetailedBias = 0.015
 	}
 	if _, err := stats.TCritical(o.Confidence, 1); err != nil {
 		return o, err
@@ -284,10 +260,7 @@ func New(ctx context.Context, pool Pool, cfg cpu.Config, w core.Workload, opts O
 	}
 
 	for si, members := range clusters.Members {
-		m := opts.SamplesPerStratum
-		if m > len(members) {
-			m = len(members)
-		}
+		m := min(samplesPerStratum, len(members))
 		st := stratumInit{members: members, weight: clusters.Points[si].Weight}
 		if m == 1 {
 			// A single sample: the cluster's representative, the member
@@ -335,10 +308,7 @@ func New(ctx context.Context, pool Pool, cfg cpu.Config, w core.Workload, opts O
 
 func (e *Engine) newSample(stratum, iv int, intervalLen func(int) uint64) sample {
 	start := uint64(iv) * e.opts.Interval
-	warm := e.opts.Warmup
-	if warm > start {
-		warm = start
-	}
+	warm := min(e.opts.Interval/2, maxWarmup, start)
 	return sample{stratum: stratum, interval: iv, start: start, length: intervalLen(iv), warm: warm}
 }
 
@@ -463,15 +433,14 @@ func (e *Engine) budget() uint64 {
 	return uint64(e.opts.MaxDetailedFrac * float64(e.covered))
 }
 
-// cheapEval statistically simulates one sampled interval: CheapSeeds
+// cheapEval statistically simulates one sampled interval: cheapSeeds
 // synthetic replications from its per-interval profile, averaged.
 func (e *Engine) cheapEval(cfg cpu.Config, s *sample) (observation, error) {
-	opts := e.opts
-	red := core.ReductionFor(s.profile, opts.CheapTarget)
-	cpis := make([]float64, 0, opts.CheapSeeds)
-	epis := make([]float64, 0, opts.CheapSeeds)
-	for r := 0; r < opts.CheapSeeds; r++ {
-		m, err := core.StatSim(cfg, s.profile, red, opts.SimSeed+uint64(r))
+	red := core.ReductionFor(s.profile, max(e.opts.Interval/5, minCheapTarget))
+	cpis := make([]float64, 0, cheapSeeds)
+	epis := make([]float64, 0, cheapSeeds)
+	for r := 0; r < cheapSeeds; r++ {
+		m, err := core.StatSim(cfg, s.profile, red, e.opts.SimSeed+uint64(r))
 		if err != nil {
 			return observation{}, fmt.Errorf("fidelity: statsim interval %d seed %d: %w", s.interval, r, err)
 		}
@@ -520,9 +489,9 @@ func (e *Engine) summary(st *stratumState) (cpi, epi stats.Stratum) {
 		// spread as sampling noise.
 		cpi.Sigma = seedSD
 	}
-	relBias := e.opts.CheapBias
+	relBias := cheapBias
 	if st.detailed {
-		relBias = e.opts.DetailedBias
+		relBias = detailedBias
 	}
 	cpi.Bias = relBias * math.Abs(cpi.Mean)
 	epi.Bias = relBias * math.Abs(epi.Mean)

@@ -34,6 +34,7 @@ func testOpts() Options {
 	return Options{
 		N:        200_000,
 		Interval: 10_000,
+		K:        1,
 		Seed:     1,
 	}
 }
@@ -52,9 +53,24 @@ func TestOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Interval != 5000 || o.Warmup != 2000 || o.Confidence != 0.95 || o.TargetCI != 0.02 ||
-		o.MaxDetailedFrac != 0.25 || o.CheapSeeds != 3 || o.SamplesPerStratum != 3 {
+	if o.Interval != 5000 || o.K != 0 || o.Seed != 1 || o.SimSeed != 1 || o.MaxK != 10 ||
+		o.Confidence != 0.95 || o.TargetCI != 0.02 || o.MaxDetailedFrac != 0.25 {
 		t.Errorf("defaults: %+v", o)
+	}
+	if maxWarmup != 2000 || cheapSeeds != 3 || samplesPerStratum != 3 || minCheapTarget != 2000 ||
+		cheapBias != 0.15 || detailedBias != 0.015 {
+		t.Error("the engine's sampling and error constants changed")
+	}
+	// The detailed warm window is min(Interval/2, 2,000, interval start).
+	for _, tc := range []struct {
+		interval uint64
+		iv       int
+		want     uint64
+	}{{5000, 0, 0}, {5000, 1, 2000}, {1000, 1, 500}, {1000, 3, 500}, {3000, 1, 1500}} {
+		e := &Engine{opts: Options{Interval: tc.interval}}
+		if got := e.newSample(0, tc.iv, func(int) uint64 { return tc.interval }).warm; got != tc.want {
+			t.Errorf("interval %d of length %d warms %d instructions, want %d", tc.iv, tc.interval, got, tc.want)
+		}
 	}
 }
 

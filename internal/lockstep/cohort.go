@@ -33,9 +33,6 @@ const DefaultMaxGroup = 16
 
 // Options shapes a sweep execution plan.
 type Options struct {
-	// MaxGroup caps instances per lockstep group (0 = DefaultMaxGroup,
-	// 1 forces the serial per-point path for every point).
-	MaxGroup int
 	// Parallel is the worker count the plan should keep busy: a cohort
 	// is split into at least this many groups (when it has that many
 	// points), because a lockstep group occupies a single worker.
@@ -53,7 +50,7 @@ type Group struct {
 
 // Plan splits one cohort's points into contiguous, near-equal groups —
 // enough groups to occupy opts.Parallel workers, none larger than
-// opts.MaxGroup. Every point must carry the same key: Plan panics
+// DefaultMaxGroup. Every point must carry the same key: Plan panics
 // otherwise, so two trace identities can never share a group. The plan
 // is a pure function of (points, opts): worker scheduling can vary at
 // runtime, but group membership — and therefore every simulated stream
@@ -70,16 +67,12 @@ func Plan(pts []Point, opts Options) []Group {
 		}
 		indices[i] = p.Index
 	}
-	maxGroup := opts.MaxGroup
-	if maxGroup <= 0 {
-		maxGroup = DefaultMaxGroup
-	}
 	parallel := opts.Parallel
 	if parallel <= 0 {
 		parallel = 1
 	}
 	n := len(indices)
-	groups := (n + maxGroup - 1) / maxGroup
+	groups := (n + DefaultMaxGroup - 1) / DefaultMaxGroup
 	if groups < parallel {
 		groups = parallel
 	}

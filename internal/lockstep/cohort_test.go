@@ -17,7 +17,7 @@ func mustPanic(t *testing.T, pts []lockstep.Point) {
 			t.Fatal("Plan accepted points of different cohorts")
 		}
 	}()
-	lockstep.Plan(pts, lockstep.Options{MaxGroup: 4, Parallel: 2})
+	lockstep.Plan(pts, lockstep.Options{Parallel: 2})
 }
 
 // TestCohortsNeverMixTraceKnobs: two points differing in any
@@ -55,8 +55,8 @@ func planIndices(groups []lockstep.Group) []int {
 }
 
 // TestPlanShapes pins the planner's arithmetic: every index exactly
-// once in order, no group above MaxGroup, at least Parallel groups per
-// large-enough cohort, sizes within one of each other.
+// once in order, no group above DefaultMaxGroup, at least Parallel
+// groups per large-enough cohort, sizes within one of each other.
 func TestPlanShapes(t *testing.T) {
 	key := lockstep.Key{R: 1, Seed: 1}
 	mkPts := func(n int) []lockstep.Point {
@@ -77,9 +77,8 @@ func TestPlanShapes(t *testing.T) {
 		{"above default cap", 17, lockstep.Options{}, 2},
 		{"parallel splits", 16, lockstep.Options{Parallel: 4}, 4},
 		{"parallel capped by n", 3, lockstep.Options{Parallel: 8}, 3},
-		{"max group 1 is serial", 5, lockstep.Options{MaxGroup: 1}, 5},
-		{"max group 7", 12, lockstep.Options{MaxGroup: 7}, 2},
-		{"paper grid shape", 1792, lockstep.Options{MaxGroup: 16, Parallel: 8}, 112},
+		{"parallel n is serial", 5, lockstep.Options{Parallel: 5}, 5},
+		{"paper grid shape", 1792, lockstep.Options{Parallel: 8}, 112},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,14 +87,10 @@ func TestPlanShapes(t *testing.T) {
 			if len(groups) != tc.wantGroups {
 				t.Fatalf("Plan(n=%d, %+v) made %d groups, want %d", tc.n, tc.opts, len(groups), tc.wantGroups)
 			}
-			maxGroup := tc.opts.MaxGroup
-			if maxGroup <= 0 {
-				maxGroup = lockstep.DefaultMaxGroup
-			}
 			minSize, maxSize := tc.n, 0
 			for _, g := range groups {
-				if len(g.Indices) > maxGroup {
-					t.Fatalf("group of %d exceeds MaxGroup %d", len(g.Indices), maxGroup)
+				if len(g.Indices) > lockstep.DefaultMaxGroup {
+					t.Fatalf("group of %d exceeds DefaultMaxGroup %d", len(g.Indices), lockstep.DefaultMaxGroup)
 				}
 				if len(g.Indices) < minSize {
 					minSize = len(g.Indices)

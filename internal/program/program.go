@@ -108,9 +108,6 @@ type Block struct {
 	FallTarget  int // successor when not taken / fallthrough
 }
 
-// NumInstrs returns the number of instructions in the block.
-func (b *Block) NumInstrs() int { return len(b.Instrs) }
-
 // Program is a complete synthetic benchmark: a CFG whose execution
 // never terminates (the harness bounds runs by instruction count).
 type Program struct {

@@ -40,33 +40,27 @@ type FidelitySpec struct {
 	MaxK int `json:"max_k,omitempty"`
 }
 
-// options maps the wire spec plus the request's profile coordinates
-// and synthetic-trace seed onto engine options. Validation beyond what the engine itself checks:
-// fractions must be sane and the stream length must respect the
-// server's profiling limit (fidelity replays the stream like profiling
-// does).
-func (f FidelitySpec) options(p ProfileSpec, simSeed uint64, opts Options) (fidelity.Options, error) {
+// options maps the wire spec plus the request's profile key (validated
+// by ProfileSpec.key) and synthetic-trace seed onto engine options, so
+// the engine computes exactly the key the response names. Validation
+// beyond what the engine itself checks: fractions must be sane, and an
+// immediate-update key is refused because the engine profiles with
+// delayed update only.
+func (f FidelitySpec) options(key ProfileKey, simSeed uint64) (fidelity.Options, error) {
 	if f.TargetCI < 0 || f.TargetCI >= 1 {
 		return fidelity.Options{}, badRequest("fidelity.target_ci=%v outside (0,1)", f.TargetCI)
 	}
 	if f.MaxDetailedFrac < 0 || f.MaxDetailedFrac > 1 {
 		return fidelity.Options{}, badRequest("fidelity.max_detailed_frac=%v outside [0,1]", f.MaxDetailedFrac)
 	}
-	if p.Workload == "" {
-		return fidelity.Options{}, badRequest("workload is required")
-	}
-	n := p.N
-	if n == 0 {
-		n = 1_000_000
-	}
-	if n > opts.MaxProfileInstructions {
-		return fidelity.Options{}, badRequest("n=%d exceeds limit %d", n, opts.MaxProfileInstructions)
+	if key.Immediate {
+		return fidelity.Options{}, badRequest("profile.immediate is not supported with fidelity: the engine profiles with delayed update only")
 	}
 	return fidelity.Options{
-		N:               n,
+		N:               key.N,
 		Interval:        f.Interval,
-		K:               p.K,
-		Seed:            p.Seed,
+		K:               key.K,
+		Seed:            key.Seed,
 		SimSeed:         simSeed,
 		MaxK:            f.MaxK,
 		Confidence:      f.Confidence,
@@ -176,7 +170,7 @@ func (s *Server) runFidelitySimulate(r *http.Request, req SimulateRequest) (any,
 	if err != nil {
 		return nil, err
 	}
-	fopts, err := req.Fidelity.options(req.Profile, req.SimSeed, s.opts)
+	fopts, err := req.Fidelity.options(key, req.SimSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +238,7 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 	if err != nil {
 		return nil, err
 	}
-	fopts, err := req.Fidelity.options(req.Profile, req.SimSeed, s.opts)
+	fopts, err := req.Fidelity.options(key, req.SimSeed)
 	if err != nil {
 		return nil, err
 	}

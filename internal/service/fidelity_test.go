@@ -225,6 +225,73 @@ func TestFidelityManifest(t *testing.T) {
 	}
 }
 
+func encodeFidelity(t *testing.T, res *fidelity.Result) string {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// fidelityPoints is the 2-point sweep the fidelity key tests serve.
+var fidelityPoints = []SweepPoint{
+	{RUU: 16, LSQ: 8, Decode: 4, Issue: 4, Commit: 4},
+	{RUU: 64, LSQ: 32, Decode: 4, Issue: 4, Commit: 4},
+}
+
+// servedFidelity posts a fidelity /v1/simulate and a fidelity /v1/sweep
+// over fidelityPoints for profile at simSeed. It returns the simulate
+// result, then each sweep row, as JSON.
+func servedFidelity(t *testing.T, url string, profile ProfileSpec, spec FidelitySpec, simSeed uint64) []string {
+	t.Helper()
+	var sim SimulateResponse
+	code, raw := postJSON(t, url+"/v1/simulate", map[string]any{
+		"profile": profile, "fidelity": spec, "sim_seed": simSeed}, &sim)
+	if code != http.StatusOK {
+		t.Fatalf("simulate status %d: %s", code, raw)
+	}
+	var sw SweepResponse
+	code, raw = postJSON(t, url+"/v1/sweep", map[string]any{
+		"profile": profile, "points": fidelityPoints, "fidelity": spec, "sim_seed": simSeed}, &sw)
+	if code != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", code, raw)
+	}
+	out := []string{encodeFidelity(t, sim.Fidelity)}
+	for _, row := range sw.Results {
+		out = append(out, encodeFidelity(t, row.Fidelity))
+	}
+	return out
+}
+
+// engineFidelity runs the engine directly with opts the way the two
+// endpoints do, in servedFidelity's order: one engine for the default
+// configuration, one shared by the sweep's points.
+func engineFidelity(t *testing.T, svc *Server, profile ProfileSpec, opts fidelity.Options) []string {
+	t.Helper()
+	w, err := core.LoadWorkload(profile.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := cpu.DefaultConfig()
+	ctx := context.Background()
+	var out []string
+	for _, cfgs := range [][]cpu.Config{{base}, {fidelityPoints[0].Apply(base), fidelityPoints[1].Apply(base)}} {
+		eng, err := fidelity.New(ctx, svc.pool, base, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range cfgs {
+			res, err := eng.Run(ctx, svc.pool, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, encodeFidelity(t, res))
+		}
+	}
+	return out
+}
+
 // TestFidelityHonoursSimSeed: a fidelity /v1/simulate and a fidelity
 // /v1/sweep answer for the request's sim_seed — the same results as the
 // engine run with that SimSeed, different ones for another seed — and
@@ -235,68 +302,17 @@ func TestFidelityHonoursSimSeed(t *testing.T) {
 		JobTimeout: time.Minute, ManifestDir: dir})
 	spec := FidelitySpec{TargetCI: 0.5, Interval: 10_000}
 	profile := ProfileSpec{Workload: "gzip", K: 1, N: 100_000}
-	points := []SweepPoint{
-		{RUU: 16, LSQ: 8, Decode: 4, Issue: 4, Commit: 4},
-		{RUU: 64, LSQ: 32, Decode: 4, Issue: 4, Commit: 4},
-	}
-	w, err := core.LoadWorkload(profile.Workload)
+	key, err := profile.key(svc.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := cpu.DefaultConfig()
-	encode := func(res *fidelity.Result) string {
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+	opts, err := spec.options(key, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// engine runs the engine directly with SimSeed simSeed: the default
-	// configuration (what /v1/simulate times), then each sweep point.
-	engine := func(simSeed uint64) []string {
-		opts, err := spec.options(profile, 0, svc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.SimSeed = simSeed
-		ctx := context.Background()
-		var out []string
-		for _, cfgs := range [][]cpu.Config{{base}, {points[0].Apply(base), points[1].Apply(base)}} {
-			eng, err := fidelity.New(ctx, svc.pool, base, w, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cfg := range cfgs {
-				res, err := eng.Run(ctx, svc.pool, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, encode(res))
-			}
-		}
-		return out
-	}
-	served := func(simSeed uint64) []string {
-		var sim SimulateResponse
-		code, raw := postJSON(t, ts.URL+"/v1/simulate", map[string]any{
-			"profile": profile, "fidelity": spec, "sim_seed": simSeed}, &sim)
-		if code != http.StatusOK {
-			t.Fatalf("simulate status %d: %s", code, raw)
-		}
-		var sw SweepResponse
-		code, raw = postJSON(t, ts.URL+"/v1/sweep", map[string]any{
-			"profile": profile, "points": points, "fidelity": spec, "sim_seed": simSeed}, &sw)
-		if code != http.StatusOK {
-			t.Fatalf("sweep status %d: %s", code, raw)
-		}
-		out := []string{encode(sim.Fidelity)}
-		for _, row := range sw.Results {
-			out = append(out, encode(row.Fidelity))
-		}
-		return out
-	}
-	got7, got1 := served(7), served(1)
-	if want := engine(7); !slices.Equal(got7, want) {
+	got7 := servedFidelity(t, ts.URL, profile, spec, 7)
+	got1 := servedFidelity(t, ts.URL, profile, spec, 1)
+	if want := engineFidelity(t, svc, profile, opts); !slices.Equal(got7, want) {
 		t.Errorf("sim_seed 7 served\n%v\nwant the SimSeed 7 engine run\n%v", got7, want)
 	}
 	for i := range got7 {
@@ -313,5 +329,54 @@ func TestFidelityHonoursSimSeed(t *testing.T) {
 	want := []string{"statsimd /v1/simulate 1", "statsimd /v1/simulate 7", "statsimd /v1/sweep 1", "statsimd /v1/sweep 7"}
 	if !slices.Equal(seeds, want) {
 		t.Errorf("manifest sim seeds %v, want %v", seeds, want)
+	}
+}
+
+// TestFidelityAnswersItsKey: a fidelity request answers for the profile
+// key its response names. k 0 profiles the zero-order SFG — the engine
+// run with K 0, not k 1's answer — and an immediate-update key, which
+// the delayed-update engine cannot compute, is refused on both
+// endpoints rather than answered with delayed-update numbers.
+func TestFidelityAnswersItsKey(t *testing.T) {
+	svc, ts := newTestServerOpts(t, Options{Workers: 4, CacheSize: 4, JobTimeout: time.Minute})
+	spec := FidelitySpec{TargetCI: 0.5, Interval: 10_000}
+	k0 := ProfileSpec{Workload: "gzip", K: 0, N: 100_000}
+	k1 := k0
+	k1.K = 1
+	got0 := servedFidelity(t, ts.URL, k0, spec, 1)
+	got1 := servedFidelity(t, ts.URL, k1, spec, 1)
+	for i := range got0 {
+		if got0[i] == got1[i] {
+			t.Errorf("result %d is the same for k 0 and k 1: %s", i, got0[i])
+		}
+	}
+	key, err := k0.key(svc.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := spec.options(key, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.K != 0 {
+		t.Fatalf("k 0 request maps to engine K %d", opts.K)
+	}
+	if want := engineFidelity(t, svc, k0, opts); !slices.Equal(got0, want) {
+		t.Errorf("k 0 served\n%v\nwant the K 0 engine run\n%v", got0, want)
+	}
+
+	imm := k1
+	imm.Immediate = true
+	for _, tc := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/simulate", map[string]any{"profile": imm, "fidelity": spec}},
+		{"/v1/sweep", map[string]any{"profile": imm, "points": fidelityPoints, "fidelity": spec}},
+	} {
+		code, raw := postJSON(t, ts.URL+tc.path, tc.body, nil)
+		if code != http.StatusBadRequest || !strings.Contains(raw, "profile.immediate") {
+			t.Errorf("%s with immediate update: status %d, want 400 naming profile.immediate: %s", tc.path, code, raw)
+		}
 	}
 }

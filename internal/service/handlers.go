@@ -354,7 +354,7 @@ func requestInfo(ctx context.Context) *reqInfo {
 // request's telemetry (flight recorder, log line).
 func (s *Server) retryRun(ctx context.Context, fn func() error) error {
 	var local atomic.Uint64
-	err := s.opts.Retry.run(ctx, &local, fn)
+	err := s.opts.Retry.Run(ctx, &local, fn)
 	if n := local.Load(); n > 0 {
 		s.retries.Add(n)
 		if ri := requestInfo(ctx); ri != nil {
@@ -552,8 +552,8 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error
 	return nil
 }
 
-// ProfileSpec names a profile in requests; zero fields take defaults
-// (k=1, n=1M, seed=1).
+// ProfileSpec names a profile in requests. K is taken as given (0 is
+// the zero-order SFG); a zero N takes 1M and a zero Seed takes 1.
 type ProfileSpec struct {
 	Workload  string `json:"workload"`
 	K         int    `json:"k"`

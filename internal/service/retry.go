@@ -82,17 +82,10 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 
 // Run executes fn under the policy: up to Attempts tries with jittered
 // exponential backoff between them, counting each retry into retries
-// when non-nil. Exported for the cluster tier, whose per-RPC retries
-// must follow the same semantics as the local job retries (context
-// cancellation and Permanent errors are never re-run).
+// when non-nil. Non-transient errors return immediately: context
+// cancellation and Permanent errors are never re-run. Local jobs and
+// the cluster tier's per-RPC retries both run through it.
 func (p RetryPolicy) Run(ctx context.Context, retries *atomic.Uint64, fn func() error) error {
-	return p.run(ctx, retries, fn)
-}
-
-// run executes fn up to p.Attempts times, sleeping a jittered backoff
-// between attempts and bumping retries (when non-nil) once per retry.
-// Non-transient errors return immediately.
-func (p RetryPolicy) run(ctx context.Context, retries *atomic.Uint64, fn func() error) error {
 	attempts := p.Attempts
 	if attempts < 1 {
 		attempts = 1

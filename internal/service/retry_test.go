@@ -14,7 +14,7 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 	p := RetryPolicy{Attempts: 3}
 	var retries atomic.Uint64
 	calls := 0
-	err := p.run(context.Background(), &retries, func() error {
+	err := p.Run(context.Background(), &retries, func() error {
 		calls++
 		if calls < 3 {
 			return fault.ErrInjected
@@ -28,7 +28,7 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 
 func TestRetryExhaustionWrapsError(t *testing.T) {
 	p := RetryPolicy{Attempts: 2}
-	err := p.run(context.Background(), nil, func() error { return fault.ErrInjected })
+	err := p.Run(context.Background(), nil, func() error { return fault.ErrInjected })
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("cause lost: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestRetryDoesNotRetryPermanentErrors(t *testing.T) {
 	for name, cause := range cases {
 		p := RetryPolicy{Attempts: 5}
 		calls := 0
-		err := p.run(context.Background(), nil, func() error { calls++; return cause })
+		err := p.Run(context.Background(), nil, func() error { calls++; return cause })
 		if calls != 1 {
 			t.Errorf("%s: retried a permanent error %d times", name, calls-1)
 		}
@@ -62,7 +62,7 @@ func TestRetryHonoursContextDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- p.run(ctx, nil, func() error { return fault.ErrInjected })
+		done <- p.Run(ctx, nil, func() error { return fault.ErrInjected })
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()

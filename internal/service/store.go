@@ -178,17 +178,6 @@ func EncodeProfileEnvelope(key ProfileKey, g *sfg.Graph) ([]byte, error) {
 	return assembleEnvelope(keyJSON, body, crc32.Checksum(body, castagnoli)), nil
 }
 
-// DecodeProfileEnvelope validates and parses an envelope. A non-nil
-// want additionally requires the embedded key to match (how Load rejects
-// renamed or impersonating files); with a nil want the embedded key is
-// returned for the caller to judge (how a cluster peer accepts an
-// offered replica). An envelope of an earlier or later storeVersion
-// reports ErrProfileVersion (an earlier one only once the rest of the
-// envelope has checked out).
-func DecodeProfileEnvelope(data []byte, want *ProfileKey) (ProfileKey, *sfg.Graph, error) {
-	return decodeProfileEnvelope(data, want)
-}
-
 // Save durably persists a profile: the envelope is assembled in memory,
 // written to a temp file in the same directory, fsynced, and renamed
 // over the final path, so a crash at any instant leaves either the old
@@ -262,7 +251,7 @@ func (st *Store) Load(key ProfileKey) (*sfg.Graph, error) {
 		}
 		return nil, err
 	}
-	_, g, err := decodeProfileEnvelope(data, &key)
+	_, g, err := DecodeProfileEnvelope(data, &key)
 	if errors.Is(err, errOlderVersion) {
 		st.misses.Add(1)
 		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
@@ -275,7 +264,14 @@ func (st *Store) Load(key ProfileKey) (*sfg.Graph, error) {
 	return g, nil
 }
 
-func decodeProfileEnvelope(data []byte, want *ProfileKey) (ProfileKey, *sfg.Graph, error) {
+// DecodeProfileEnvelope validates and parses an envelope. A non-nil
+// want additionally requires the embedded key to match (how Load rejects
+// renamed or impersonating files); with a nil want the embedded key is
+// returned for the caller to judge (how a cluster peer accepts an
+// offered replica). An envelope of an earlier or later storeVersion
+// reports ErrProfileVersion (an earlier one only once the rest of the
+// envelope has checked out).
+func DecodeProfileEnvelope(data []byte, want *ProfileKey) (ProfileKey, *sfg.Graph, error) {
 	var key ProfileKey
 	r := bytes.NewReader(data)
 	var magic [4]byte

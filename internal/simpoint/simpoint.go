@@ -23,20 +23,18 @@ import (
 type Options struct {
 	IntervalLen uint64 // instructions per interval (paper: 10M; scale down)
 	MaxK        int    // maximum clusters to consider (default 10)
-	Dim         int    // random-projection dimension (default 15)
 	Seed        uint64
-	Restarts    int // k-means restarts per k (default 3)
 }
+
+// The BBV random-projection dimension and the k-means restarts per k.
+const (
+	projectionDim = 15
+	restarts      = 3
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxK == 0 {
 		o.MaxK = 10
-	}
-	if o.Dim == 0 {
-		o.Dim = 15
-	}
-	if o.Restarts == 0 {
-		o.Restarts = 3
 	}
 	return o
 }
@@ -50,7 +48,6 @@ type Point struct {
 // BBVs builds one normalised, randomly projected basic-block vector per
 // interval of the stream.
 func BBVs(src trace.Source, opts Options) ([][]float64, error) {
-	opts = opts.withDefaults()
 	if opts.IntervalLen == 0 {
 		return nil, fmt.Errorf("simpoint: IntervalLen must be positive")
 	}
@@ -69,10 +66,10 @@ func BBVs(src trace.Source, opts Options) ([][]float64, error) {
 			blocks = append(blocks, b)
 		}
 		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		v := make([]float64, opts.Dim)
+		v := make([]float64, projectionDim)
 		for _, b := range blocks {
 			w := float64(counts[b]) / float64(n)
-			for dim := 0; dim < opts.Dim; dim++ {
+			for dim := 0; dim < projectionDim; dim++ {
 				v[dim] += w * projection(b, dim, opts.Seed)
 			}
 		}
@@ -158,7 +155,7 @@ func clusterBBVs(vecs [][]float64, opts Options) *Clustering {
 	bestAssignK := make([][]int, maxK+1)
 	for k := 1; k <= maxK; k++ {
 		bestSSE[k] = math.Inf(1)
-		for r := 0; r < opts.Restarts; r++ {
+		for r := 0; r < restarts; r++ {
 			assign, sse := kmeans(vecs, k, rng)
 			if sse < bestSSE[k] {
 				bestSSE[k] = sse
@@ -184,7 +181,7 @@ func clusterBBVs(vecs [][]float64, opts Options) *Clustering {
 	bestAssign := bestAssignK[bestK]
 
 	// Representative per cluster: the interval closest to its centroid.
-	centroids := centroidsOf(vecs, bestAssign, bestK, opts.Dim)
+	centroids := centroidsOf(vecs, bestAssign, bestK, projectionDim)
 	repIdx := make([]int, bestK)
 	repDist := make([]float64, bestK)
 	size := make([]int, bestK)

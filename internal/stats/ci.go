@@ -46,10 +46,6 @@ var tTable = map[float64][]struct {
 // the t rows above.
 var zLimit = map[float64]float64{0.90: 1.645, 0.95: 1.960, 0.99: 2.576}
 
-// SupportedConfidences lists the confidence levels TCritical accepts,
-// ascending.
-func SupportedConfidences() []float64 { return []float64{0.90, 0.95, 0.99} }
-
 // TCritical returns the two-sided Student-t critical value for the
 // given confidence level (0.90, 0.95 or 0.99) and degrees of freedom.
 // df < 1 is clamped to 1 (the most conservative row); unsupported

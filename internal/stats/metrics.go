@@ -68,20 +68,3 @@ func RelError(aSS, bSS, aEDS, bEDS float64) float64 {
 	edsRatio := bEDS / aEDS
 	return math.Abs(ssRatio-edsRatio) / math.Abs(edsRatio)
 }
-
-// HarmonicMean returns the harmonic mean of xs, ignoring non-positive
-// entries; it returns 0 if no positive entries exist.
-func HarmonicMean(xs []float64) float64 {
-	var inv float64
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			inv += 1 / x
-			n++
-		}
-	}
-	if n == 0 || inv == 0 {
-		return 0
-	}
-	return float64(n) / inv
-}

@@ -61,12 +61,3 @@ func TestRelError(t *testing.T) {
 		t.Error("degenerate inputs should yield 0")
 	}
 }
-
-func TestHarmonicMean(t *testing.T) {
-	if h := HarmonicMean([]float64{1, 2, 4}); !almostEqual(h, 12.0/7.0, 1e-12) {
-		t.Errorf("HarmonicMean = %v, want %v", h, 12.0/7.0)
-	}
-	if h := HarmonicMean([]float64{0, -1}); h != 0 {
-		t.Errorf("HarmonicMean of non-positives = %v, want 0", h)
-	}
-}

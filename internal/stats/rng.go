@@ -46,8 +46,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 random bits. The xoshiro step is written
 // with the rotations expanded and the state in locals so the method
 // fits the compiler's inlining budget — it sits on the innermost

@@ -88,19 +88,6 @@ func (s *WeightedSampler) Decrement(i int) bool {
 	return true
 }
 
-// SetWeight replaces the weight of index i.
-func (s *WeightedSampler) SetWeight(i int, w uint64) {
-	if s.w[i] == w {
-		return
-	}
-	if w > s.w[i] {
-		s.add(i, w-s.w[i])
-	} else {
-		s.sub(i, s.w[i]-w)
-	}
-	s.w[i] = w
-}
-
 // CDF is an immutable cumulative distribution over [0, n) built once
 // from weights; Sample is O(1) expected via an alias (guide) table that
 // preserves the inverse-CDF (u → index) mapping bit-identically. It is

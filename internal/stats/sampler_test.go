@@ -48,21 +48,6 @@ func TestWeightedSamplerDecrement(t *testing.T) {
 	}
 }
 
-func TestWeightedSamplerSetWeight(t *testing.T) {
-	s := NewWeightedSampler([]uint64{5, 5})
-	s.SetWeight(0, 0)
-	s.SetWeight(1, 20)
-	if s.Total() != 20 {
-		t.Fatalf("total = %d, want 20", s.Total())
-	}
-	r := NewRNG(1)
-	for i := 0; i < 100; i++ {
-		if got := s.Sample(r.Float64()); got != 1 {
-			t.Fatalf("Sample = %d, want 1", got)
-		}
-	}
-}
-
 func TestWeightedSamplerEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

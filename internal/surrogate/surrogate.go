@@ -54,11 +54,6 @@ func FromDims(ruu, lsq, decode, issue, commit, ifq int) Features {
 	}
 }
 
-// Extract builds the feature vector for a full configuration.
-func Extract(cfg cpu.Config) Features {
-	return FromDims(cfg.RUUSize, cfg.LSQSize, cfg.DecodeWidth, cfg.IssueWidth, cfg.CommitWidth, cfg.IFQSize)
-}
-
 // Estimate is one prediction: IPC/EPC point estimates plus the model's
 // relative uncertainty — the weighted worst-case neighbour deviation
 // plus a distance penalty, as a fraction of the predicted IPC. A

@@ -534,7 +534,4 @@ func (t *TraceSource) bernoulli(num, den uint64) bool {
 	return t.rng.Float64()*float64(den) < float64(num)
 }
 
-// Generated returns how many instructions have been emitted so far.
-func (t *TraceSource) Generated() uint64 { return t.seq }
-
 var _ trace.Source = (*TraceSource)(nil)

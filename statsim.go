@@ -55,7 +55,8 @@ type Workload = core.Workload
 type Graph = sfg.Graph
 
 // ProfileOptions configures statistical profiling (SFG order k,
-// update discipline, warmup).
+// update discipline, warmup, sharding). The delayed-update FIFO is
+// always as deep as the config's IFQ.
 type ProfileOptions = core.ProfileOptions
 
 // Source is a dynamic instruction stream, read in chunks: NextBatch
