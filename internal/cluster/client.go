@@ -184,7 +184,7 @@ func (c *client) fetchMetrics(ctx context.Context, base string) ([]byte, error) 
 func (c *client) sweepOn(ctx context.Context, base string, req service.SweepRequest) (*service.SweepResponse, error) {
 	req.RawMetrics = true
 	req.Cost = true
-	traceID := obs.TraceIDFromContext(ctx)
+	traceID := obs.TracerFromContext(ctx).TraceID()
 	parentSpan := obs.SpanIDFromContext(ctx)
 	payload, err := json.Marshal(req)
 	if err != nil {

@@ -5,11 +5,14 @@ import (
 	"time"
 )
 
-// RequestEvent is one completed request as the flight recorder saw it:
-// enough provenance to reconstruct what the daemon did for the request
-// (which endpoint, which trace ID, whether the profile came from cache,
-// what the degradation machinery did, where the time went) without
-// external log storage.
+// RequestEvent is one request's outcome record: enough provenance to
+// reconstruct what the daemon did for the request (which endpoint,
+// which trace ID, whether the profile came from cache, what the
+// degradation machinery did, where the time went) without external log
+// storage. While the request runs its Tracer holds the record and the
+// layers below the handler fill in the provenance fields (Tracer.Note);
+// when it completes the daemon stamps identity, status and timings onto
+// a copy and the flight recorder keeps it.
 type RequestEvent struct {
 	Seq      uint64    `json:"seq"`
 	Time     time.Time `json:"time"`

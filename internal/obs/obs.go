@@ -2,19 +2,21 @@
 // simulation pipeline: one hierarchical span system (Tracer) that
 // records the profile → reduce → generate → simulate stages alongside
 // every other span a request or CLI invocation produces, the stage
-// timings derived from those spans, and the run manifest that makes a
+// timings derived from those spans, the per-request record a Tracer
+// carries (trace ID, spans and outcome, which the flight recorder
+// keeps once the request completes), and the run manifest that makes a
 // measurement reproducible (config fingerprint, seeds, per-stage
 // timings, final metrics).
 //
 // The design constraint is that observability must cost nothing when
 // it is off: a nil *Tracer is the disabled state. Starting and ending a
-// span on a nil tracer is a single pointer comparison — no allocation,
-// no clock read, no lock — so the hot simulate path pays (measurably,
-// see the overhead guard test in the repo root) under 5% with tracing
-// disabled. The per-cycle pipeline counters (cpu.PipeStats) are
-// deliberately NOT part of this package: they are plain deterministic
-// counters that belong to the simulation result itself and are always
-// on.
+// span, or noting an outcome, on a nil tracer is a single pointer
+// comparison — no allocation, no clock read, no lock — so the hot
+// simulate path pays (measurably, see the overhead guard test in the
+// repo root) under 5% with tracing disabled. The per-cycle pipeline
+// counters (cpu.PipeStats) are deliberately NOT part of this package:
+// they are plain deterministic counters that belong to the simulation
+// result itself and are always on.
 package obs
 
 // Stage names shared by every front end, so the CLI manifest, the

@@ -60,6 +60,59 @@ func TestNilSpanStartAllocates(t *testing.T) {
 	}
 }
 
+// TestNilTracerNoteAllocates pins the cost of recording a request's
+// outcome with tracing off: Note, with a closure that captures a local,
+// and Event on a nil *Tracer allocate nothing.
+func TestNilTracerNoteAllocates(t *testing.T) {
+	var tr *Tracer
+	hits := 3
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.Note(func(ev *RequestEvent) { ev.StoreHits += hits })
+		if tr.Event().StoreHits != 0 {
+			t.Fatal("nil tracer kept an outcome")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled Note/Event allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestTracerNoteConcurrent notes outcomes and records spans from many
+// goroutines while another reads both, as sweep workers and the
+// request's handler do. Run it under -race.
+func TestTracerNoteConcurrent(t *testing.T) {
+	tr := NewTracer("t", "local")
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				tr.Note(func(ev *RequestEvent) { ev.StoreHits++ })
+				_, sp := tr.StartSpan(ctx, StageSimulate)
+				sp.End()
+			}
+		}()
+	}
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for j := 0; j < 100; j++ {
+			_ = tr.Spans()
+			_ = tr.Event()
+		}
+	}()
+	wg.Wait()
+	<-read
+	if got := tr.Event().StoreHits; got != 800 {
+		t.Fatalf("noted %d store hits, want 800", got)
+	}
+	if got := len(tr.Spans()); got != 800 {
+		t.Fatalf("recorded %d spans, want 800", got)
+	}
+}
+
 // TestRecorderSpans pins what the span recorder (the tracer) keeps for
 // a stage: the instruction count, the node and trace stamps, and the
 // stage's inst/s.

@@ -23,8 +23,9 @@ import (
 //
 // Like FlightRecorder, a nil *Tracer is the valid disabled instance:
 // StartSpan on a nil tracer returns a zero ActiveSpan whose Annotate,
-// End and EndInstructions are no-ops and allocates nothing, so library
-// callers (CLI, tests, benchmarks) pay nothing when tracing is off.
+// End and EndInstructions are no-ops, Note does nothing and Event
+// returns the zero event, all without allocating, so library callers
+// (CLI, tests, benchmarks) pay nothing when tracing is off.
 
 // TraceSpan is one completed span on the wire and in the trace store.
 type TraceSpan struct {
@@ -99,7 +100,10 @@ func TracerFromContext(ctx context.Context) *Tracer {
 // cap new spans are counted but dropped.
 const maxSpansPerTrace = 8192
 
-// Tracer collects the spans one request produces on one node.
+// Tracer is the record of one request on one node: its trace ID, the
+// spans it produced, and its outcome (a RequestEvent), which the layers
+// below the handler — cache fill, retry loop, sweep engine — fill in
+// through Note while the request runs.
 type Tracer struct {
 	traceID string
 	node    string
@@ -107,6 +111,7 @@ type Tracer struct {
 	mu      sync.Mutex
 	spans   []TraceSpan
 	dropped int
+	event   RequestEvent
 }
 
 // NewTracer returns a tracer stamping spans with the trace ID and node
@@ -235,6 +240,30 @@ func (t *Tracer) Import(spans []TraceSpan) {
 		t.spans = append(t.spans, sp)
 	}
 	t.mu.Unlock()
+}
+
+// Note applies fn to the request's outcome record under the tracer's
+// lock, so concurrent sweep workers and the handler can each add what
+// they observed. fn must not call back into the tracer. No-op on a nil
+// tracer.
+func (t *Tracer) Note(fn func(*RequestEvent)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	fn(&t.event)
+	t.mu.Unlock()
+}
+
+// Event returns a copy of the outcome record Note has built so far (the
+// zero event on a nil tracer).
+func (t *Tracer) Event() RequestEvent {
+	if t == nil {
+		return RequestEvent{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.event
 }
 
 // Spans returns a copy of everything recorded so far (nil on a nil

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -43,17 +42,6 @@ func TestSanitizeTraceID(t *testing.T) {
 		if got := SanitizeTraceID(in); got != want {
 			t.Errorf("SanitizeTraceID(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestTraceIDContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if id := TraceIDFromContext(ctx); id != "" {
-		t.Errorf("empty context carries trace ID %q", id)
-	}
-	ctx = WithTraceID(ctx, "deadbeef00000000")
-	if id := TraceIDFromContext(ctx); id != "deadbeef00000000" {
-		t.Errorf("round trip returned %q", id)
 	}
 }
 

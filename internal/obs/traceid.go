@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"sync/atomic"
@@ -9,14 +8,12 @@ import (
 
 // Trace IDs give every request a stable identity that survives the trip
 // through the daemon: minted (or accepted from the client's
-// X-Request-Id) at the HTTP boundary, carried via context.Context
-// through the pool, retry, cache, store and sweep machinery, and
+// X-Request-Id) at the HTTP boundary, held by the request's Tracer,
+// which travels via context.Context through the pool, retry, cache,
+// store and sweep machinery (TracerFromContext(ctx).TraceID()), and
 // stamped into structured log lines, flight-recorder events, trace
 // spans and run manifests. Correlating one slow sweep across all of
 // those surfaces is a grep for one string.
-
-// traceIDKey is the context key for the request's trace ID.
-type traceIDKey struct{}
 
 // traceIDSeq breaks ties if the random source ever fails: the fallback
 // ID is still unique within the process.
@@ -55,16 +52,4 @@ func SanitizeTraceID(s string) string {
 		}
 	}
 	return s
-}
-
-// WithTraceID returns a context carrying the trace ID.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceIDKey{}, id)
-}
-
-// TraceIDFromContext returns the context's trace ID, or "" when none
-// was attached.
-func TraceIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(traceIDKey{}).(string)
-	return id
 }

@@ -33,6 +33,9 @@ const (
 	maxEnvelopeBytes = 256 << 20
 )
 
+// errNotClustered answers the cluster views on a node without peers.
+var errNotClustered = &apiError{code: http.StatusNotFound, err: errors.New("this node is not clustered")}
+
 // ClusterFetchRequest is the POST /v1/cluster/fetch body.
 type ClusterFetchRequest struct {
 	Key ProfileKey `json:"key"`
@@ -114,28 +117,14 @@ func (s *Server) handleClusterOffer(w http.ResponseWriter, r *http.Request) {
 // handleClusterStatus reports ring membership and peer health, plus
 // both sides' counters — the operator's one-stop view of cluster state.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if s.cluster == nil {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(httpError{Error: "this node is not clustered"})
+		writeJSONError(w, errNotClustered)
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
 		ClusterStatus
 		Stats  ClusterStats       `json:"stats"`
 		Served ClusterServedStats `json:"served"`
 	}{s.cluster.Status(), s.cluster.Stats(), s.clusterServed.snapshot()})
-}
-
-// writeJSONError renders err with apiError status awareness for the
-// raw (un-instrumented) cluster handlers.
-func writeJSONError(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	var ae *apiError
-	if errors.As(err, &ae) {
-		code = ae.code
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(httpError{Error: err.Error()})
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"math"
 	"net/http"
 	"strconv"
@@ -73,13 +74,8 @@ func (f FidelitySpec) options(key ProfileKey, simSeed uint64) (fidelity.Options,
 // as FidelityStats on /metrics and as the statsimd_fidelity_* families
 // on the Prometheus exposition.
 type fidelityCounters struct {
-	mu            sync.Mutex
-	runs          uint64
-	converged     uint64
-	escalations   uint64
-	detailedInsts uint64
-	ciWidthSum    float64
-	ciWidthCount  uint64
+	mu     sync.Mutex
+	totals FidelityStats
 }
 
 // FidelityStats is the wire form of the daemon's fidelity-engine
@@ -97,39 +93,32 @@ type FidelityStats struct {
 
 func (c *fidelityCounters) note(res *fidelity.Result) {
 	c.mu.Lock()
-	c.runs++
+	c.totals.Runs++
 	if res.Converged {
-		c.converged++
+		c.totals.Converged++
 	}
-	c.escalations += uint64(len(res.Escalations))
-	c.detailedInsts += res.DetailedInstructions
-	c.ciWidthSum += res.RelHalfWidth
-	c.ciWidthCount++
+	c.totals.Escalations += uint64(len(res.Escalations))
+	c.totals.DetailedInsts += res.DetailedInstructions
+	c.totals.CIWidthSum += res.RelHalfWidth
+	c.totals.CIWidthCount++
 	c.mu.Unlock()
 }
 
 func (c *fidelityCounters) stats() FidelityStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return FidelityStats{
-		Runs:          c.runs,
-		Converged:     c.converged,
-		Escalations:   c.escalations,
-		DetailedInsts: c.detailedInsts,
-		CIWidthSum:    c.ciWidthSum,
-		CIWidthCount:  c.ciWidthCount,
-	}
+	return c.totals
 }
 
 // noteFidelity lands one engine run in the daemon-wide counters and the
-// request's telemetry (flight-recorder event, log line).
-func (s *Server) noteFidelity(ri *reqInfo, res *fidelity.Result) {
+// request's outcome record (flight-recorder event, log line).
+func (s *Server) noteFidelity(ctx context.Context, res *fidelity.Result) {
 	s.fidelity.note(res)
-	if ri != nil {
-		ri.escalations.Add(int64(len(res.Escalations)))
-		ri.detailedInsts.Add(res.DetailedInstructions)
-		ri.ciWidth.Store(math.Float64bits(res.RelHalfWidth))
-	}
+	obs.TracerFromContext(ctx).Note(func(ev *obs.RequestEvent) {
+		ev.Escalations += len(res.Escalations)
+		ev.DetailedInsts += res.DetailedInstructions
+		ev.CIWidth = res.RelHalfWidth
+	})
 }
 
 // annotateFidelitySpan lands an engine run's outcome on its span: how
@@ -170,6 +159,7 @@ func (s *Server) runFidelitySimulate(r *http.Request, req SimulateRequest) (any,
 	if err != nil {
 		return nil, err
 	}
+	key.Shards = 0 // the engine profiles its intervals sequentially
 	fopts, err := req.Fidelity.options(key, req.SimSeed)
 	if err != nil {
 		return nil, err
@@ -196,8 +186,8 @@ func (s *Server) runFidelitySimulate(r *http.Request, req SimulateRequest) (any,
 	}
 	annotateFidelitySpan(span, res)
 	span.End()
-	s.noteFidelity(requestInfo(ctx), res)
-	s.log.Debug("fidelity run", "trace_id", obs.TraceIDFromContext(ctx),
+	s.noteFidelity(ctx, res)
+	s.log.Debug("fidelity run", "trace_id", obs.TracerFromContext(ctx).TraceID(),
 		"workload", key.Workload, "strata", len(res.Strata),
 		"escalations", len(res.Escalations), "converged", res.Converged,
 		"rel_half_width", res.RelHalfWidth, "detailed_frac", res.DetailedFrac)
@@ -238,6 +228,7 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 	if err != nil {
 		return nil, err
 	}
+	key.Shards = 0 // the engine profiles its intervals sequentially
 	fopts, err := req.Fidelity.options(key, req.SimSeed)
 	if err != nil {
 		return nil, err
@@ -252,7 +243,7 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 	if err != nil {
 		return nil, err
 	}
-	feed := s.progress.feed(obs.TraceIDFromContext(ctx))
+	feed := s.progress.feed(obs.TracerFromContext(ctx).TraceID())
 	feed.begin(len(points), 0)
 	resp := SweepResponse{
 		Key:       key,
@@ -260,7 +251,6 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 		Results:   make([]SweepRow, len(points)),
 		ElapsedMS: 0,
 	}
-	ri := requestInfo(ctx)
 	ledger := newCostLedger(s.node, len(points))
 	for i, pt := range points {
 		_, span := obs.TracerFromContext(ctx).StartSpan(ctx, "fidelity.run")
@@ -280,7 +270,7 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 		// marks the point estimated when the interval did not fully
 		// converge to the requested half-width.
 		ledger.record(i, TierSimulated, "", -1, time.Since(t0).Seconds(), !res.Converged)
-		s.noteFidelity(ri, res)
+		s.noteFidelity(ctx, res)
 		m := fidelityMetrics(res)
 		resp.Results[i] = SweepRow{Point: pt, Metrics: m, Fidelity: res}
 		if m.EDP < resp.Results[resp.Best].Metrics.EDP {

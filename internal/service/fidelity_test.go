@@ -242,8 +242,8 @@ var fidelityPoints = []SweepPoint{
 
 // servedFidelity posts a fidelity /v1/simulate and a fidelity /v1/sweep
 // over fidelityPoints for profile at simSeed. It returns the simulate
-// result, then each sweep row, as JSON.
-func servedFidelity(t *testing.T, url string, profile ProfileSpec, spec FidelitySpec, simSeed uint64) []string {
+// result, then each sweep row, as JSON, and the two responses' keys.
+func servedFidelity(t *testing.T, url string, profile ProfileSpec, spec FidelitySpec, simSeed uint64) ([]string, []ProfileKey) {
 	t.Helper()
 	var sim SimulateResponse
 	code, raw := postJSON(t, url+"/v1/simulate", map[string]any{
@@ -261,7 +261,7 @@ func servedFidelity(t *testing.T, url string, profile ProfileSpec, spec Fidelity
 	for _, row := range sw.Results {
 		out = append(out, encodeFidelity(t, row.Fidelity))
 	}
-	return out
+	return out, []ProfileKey{sim.Key, sw.Key}
 }
 
 // engineFidelity runs the engine directly with opts the way the two
@@ -310,8 +310,8 @@ func TestFidelityHonoursSimSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got7 := servedFidelity(t, ts.URL, profile, spec, 7)
-	got1 := servedFidelity(t, ts.URL, profile, spec, 1)
+	got7, _ := servedFidelity(t, ts.URL, profile, spec, 7)
+	got1, _ := servedFidelity(t, ts.URL, profile, spec, 1)
 	if want := engineFidelity(t, svc, profile, opts); !slices.Equal(got7, want) {
 		t.Errorf("sim_seed 7 served\n%v\nwant the SimSeed 7 engine run\n%v", got7, want)
 	}
@@ -336,15 +336,18 @@ func TestFidelityHonoursSimSeed(t *testing.T) {
 // key its response names. k 0 profiles the zero-order SFG — the engine
 // run with K 0, not k 1's answer — and an immediate-update key, which
 // the delayed-update engine cannot compute, is refused on both
-// endpoints rather than answered with delayed-update numbers.
+// endpoints rather than answered with delayed-update numbers. The
+// engine profiles its intervals sequentially, so a daemon that shards
+// its profiles answers fidelity requests under the unsharded key, with
+// the unsharded daemon's numbers.
 func TestFidelityAnswersItsKey(t *testing.T) {
 	svc, ts := newTestServerOpts(t, Options{Workers: 4, CacheSize: 4, JobTimeout: time.Minute})
 	spec := FidelitySpec{TargetCI: 0.5, Interval: 10_000}
 	k0 := ProfileSpec{Workload: "gzip", K: 0, N: 100_000}
 	k1 := k0
 	k1.K = 1
-	got0 := servedFidelity(t, ts.URL, k0, spec, 1)
-	got1 := servedFidelity(t, ts.URL, k1, spec, 1)
+	got0, _ := servedFidelity(t, ts.URL, k0, spec, 1)
+	got1, _ := servedFidelity(t, ts.URL, k1, spec, 1)
 	for i := range got0 {
 		if got0[i] == got1[i] {
 			t.Errorf("result %d is the same for k 0 and k 1: %s", i, got0[i])
@@ -363,6 +366,25 @@ func TestFidelityAnswersItsKey(t *testing.T) {
 	}
 	if want := engineFidelity(t, svc, k0, opts); !slices.Equal(got0, want) {
 		t.Errorf("k 0 served\n%v\nwant the K 0 engine run\n%v", got0, want)
+	}
+
+	_, sharded := newTestServerOpts(t, Options{Workers: 4, CacheSize: 4, JobTimeout: time.Minute, ProfileShards: 4})
+	gotSharded, keys := servedFidelity(t, sharded.URL, k1, spec, 1)
+	for i, key := range keys {
+		if key.Shards != 0 {
+			t.Errorf("fidelity response %d on a sharded daemon names key %+v, want no shards", i, key)
+		}
+	}
+	if !slices.Equal(gotSharded, got1) {
+		t.Errorf("sharded daemon served\n%v\nwant the unsharded daemon's\n%v", gotSharded, got1)
+	}
+	var plain SimulateResponse
+	if code, raw := postJSON(t, sharded.URL+"/v1/simulate",
+		SimulateRequest{Profile: k1, Target: 10_000}, &plain); code != http.StatusOK {
+		t.Fatalf("plain simulate status %d: %s", code, raw)
+	}
+	if plain.Key.Shards != 4 {
+		t.Errorf("plain simulate on a sharded daemon names key %+v, want shards 4", plain.Key)
 	}
 
 	imm := k1

@@ -186,9 +186,7 @@ func writeFleetMetrics(w *bytes.Buffer, sections []fleetSection) {
 // own exposition renders locally, so a single-node "fleet" still works.
 func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		w.Write([]byte(`{"error":"this node is not clustered"}` + "\n"))
+		writeJSONError(w, errNotClustered)
 		return
 	}
 	status := s.cluster.Status()

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -309,57 +308,37 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{code: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-// reqInfo rides the request context so the depths of the pipeline (the
-// cache fill, the retry loop, the sweep engine) can report outcomes
-// back to the instrument middleware without threading return values
-// through every layer. Fields are atomics because sweep workers and the
-// singleflight fill touch them concurrently with the handler goroutine.
-type reqInfo struct {
-	cacheHit atomic.Bool
-	retries  atomic.Uint64
-	resumed  atomic.Int64
-
-	// Cluster outcomes: the peer a profile was fetched from, and how
-	// many peers were lost (and routed around) during this request's
-	// sweep.
-	remotePeer atomic.Value // string
-	failovers  atomic.Int64
-
-	// Oracle outcomes: points served from the durable result store and
-	// from the gated surrogate instead of being simulated.
-	storeHits     atomic.Int64
-	surrogateHits atomic.Int64
-
-	// Fidelity-engine outcomes (set only when the request ran it).
-	escalations   atomic.Int64
-	detailedInsts atomic.Uint64
-	ciWidth       atomic.Uint64 // math.Float64bits of the final relative half-width
-}
-
-type reqInfoKey struct{}
-
-func withReqInfo(ctx context.Context, ri *reqInfo) context.Context {
-	return context.WithValue(ctx, reqInfoKey{}, ri)
-}
-
-// requestInfo returns the request's telemetry carrier, or nil outside
-// an instrumented request (direct handler tests, embedded use).
-func requestInfo(ctx context.Context) *reqInfo {
-	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
-	return ri
+// writeJSONError renders err as the uniform JSON error body and returns
+// the status it chose: an apiError's own code, with its Retry-After
+// hint; 503 with a Retry-After for a closed pool; 500 otherwise.
+func writeJSONError(w http.ResponseWriter, err error) int {
+	code := http.StatusInternalServerError
+	var ae *apiError
+	if errors.As(err, &ae) {
+		code = ae.code
+		if ae.retryAfter > 0 {
+			secs := int64((ae.retryAfter + time.Second - 1) / time.Second)
+			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+		}
+	} else if errors.Is(err, ErrPoolClosed) {
+		w.Header().Set("Retry-After", "5")
+		code = http.StatusServiceUnavailable
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(httpError{Error: err.Error()})
+	return code
 }
 
 // retryRun applies the server's retry policy with per-request
 // attribution: retries land in the server-wide counter and in the
-// request's telemetry (flight recorder, log line).
+// request's outcome record (flight recorder, log line).
 func (s *Server) retryRun(ctx context.Context, fn func() error) error {
 	var local atomic.Uint64
 	err := s.opts.Retry.Run(ctx, &local, fn)
 	if n := local.Load(); n > 0 {
 		s.retries.Add(n)
-		if ri := requestInfo(ctx); ri != nil {
-			ri.retries.Add(n)
-		}
+		obs.TracerFromContext(ctx).Note(func(ev *obs.RequestEvent) { ev.Retries += int(n) })
 	}
 	return err
 }
@@ -367,8 +346,9 @@ func (s *Server) retryRun(ctx context.Context, fn func() error) error {
 // instrument wraps a JSON handler with per-request telemetry and
 // uniform error rendering. It mints the request's trace ID (honouring a
 // well-formed inbound X-Request-Id, so a client-chosen ID is followable
-// across systems), threads it through the context to every layer below,
-// echoes it in the X-Request-Id response header, observes latency and
+// across systems), opens the request's tracer — the one per-request
+// record, carried through the context to every layer below — echoes the
+// ID in the X-Request-Id response header, observes latency and
 // pipeline-stage timings, emits one structured log line, and records
 // the request into the flight recorder. Every failure — malformed JSON,
 // oversized body, shed load, job fault — renders as a structured JSON
@@ -382,10 +362,8 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 			traceID = obs.NewTraceID()
 		}
 		w.Header().Set("X-Request-Id", traceID)
-		ri := &reqInfo{}
 		tracer := obs.NewTracer(traceID, s.node)
-		ctx := withReqInfo(obs.WithTraceID(r.Context(), traceID), ri)
-		ctx, root := tracer.StartSpan(obs.WithTracer(ctx, tracer), "http "+name)
+		ctx, root := tracer.StartSpan(obs.WithTracer(r.Context(), tracer), "http "+name)
 		r = r.WithContext(ctx)
 
 		resp, err := h(w, r)
@@ -394,64 +372,36 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		stages := tracer.Stages()
 		s.metrics.ObserveStages(stages)
 
-		w.Header().Set("Content-Type", "application/json")
 		code := http.StatusOK
 		if err != nil {
-			code = http.StatusInternalServerError
-			var ae *apiError
-			if errors.As(err, &ae) {
-				code = ae.code
-				if ae.retryAfter > 0 {
-					secs := int64((ae.retryAfter + time.Second - 1) / time.Second)
-					w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-				}
-			} else if errors.Is(err, ErrPoolClosed) {
-				w.Header().Set("Retry-After", "5")
-				code = http.StatusServiceUnavailable
-			}
-			w.WriteHeader(code)
-			json.NewEncoder(w).Encode(httpError{Error: err.Error()})
-		} else {
-			json.NewEncoder(w).Encode(resp)
-		}
-		if err != nil {
+			code = writeJSONError(w, err)
 			root.Annotate("error", err.Error())
+		} else {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(resp)
 		}
 		root.End()
 		spans := tracer.Spans()
 		s.traces.Add(traceID, spans)
-		s.finishRequest(name, traceID, ri, code, elapsed, len(spans), stages, err)
+		s.finishRequest(name, tracer, code, elapsed, len(spans), stages, err)
 	}
 }
 
 // finishRequest is the telemetry tail of every instrumented request:
-// the flight-recorder event, the structured log line, and the decision
-// whether this request's outcome (a shed burst, a worker panic)
-// warrants dumping the flight recorder into the log.
-func (s *Server) finishRequest(name, traceID string, ri *reqInfo, code int, elapsed time.Duration, spans int, stages []obs.StageTiming, err error) {
-	ev := obs.RequestEvent{
-		Time:       time.Now(),
-		TraceID:    traceID,
-		Endpoint:   name,
-		Status:     code,
-		DurationMS: float64(elapsed) / float64(time.Millisecond),
-		CacheHit:   ri.cacheHit.Load(),
-		Shed:       code == http.StatusTooManyRequests,
-		Retries:    int(ri.retries.Load()),
-		Resumed:    int(ri.resumed.Load()),
-		Failovers:  int(ri.failovers.Load()),
-		Spans:      spans,
-
-		StoreHits:     int(ri.storeHits.Load()),
-		SurrogateHits: int(ri.surrogateHits.Load()),
-
-		Escalations:   int(ri.escalations.Load()),
-		DetailedInsts: ri.detailedInsts.Load(),
-		CIWidth:       math.Float64frombits(ri.ciWidth.Load()),
-	}
-	if peer, ok := ri.remotePeer.Load().(string); ok {
-		ev.Peer = peer
-	}
+// the flight-recorder event (the outcome the tracer collected, stamped
+// with the request's identity, status and timings), the structured log
+// line, and the decision whether this request's outcome (a shed burst,
+// a worker panic) warrants dumping the flight recorder into the log.
+func (s *Server) finishRequest(name string, tracer *obs.Tracer, code int, elapsed time.Duration, spans int, stages []obs.StageTiming, err error) {
+	traceID := tracer.TraceID()
+	ev := tracer.Event()
+	ev.Time = time.Now()
+	ev.TraceID = traceID
+	ev.Endpoint = name
+	ev.Status = code
+	ev.DurationMS = float64(elapsed) / float64(time.Millisecond)
+	ev.Shed = code == http.StatusTooManyRequests
+	ev.Spans = spans
 	if len(stages) > 0 {
 		ev.StageMS = make(map[string]float64, len(stages))
 		for _, st := range stages {
@@ -600,7 +550,8 @@ func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Gra
 	if err != nil {
 		return nil, ProfileKey{}, false, err
 	}
-	lg := s.log.With("trace_id", obs.TraceIDFromContext(ctx),
+	tracer := obs.TracerFromContext(ctx)
+	lg := s.log.With("trace_id", tracer.TraceID(),
 		"workload", key.Workload, "k", key.K, "n", key.N)
 	g, cached, err := s.cache.GetOrProfile(key, func() (*sfg.Graph, error) {
 		if s.store != nil {
@@ -616,14 +567,12 @@ func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Gra
 			// this profile already — a graph profiled once anywhere is
 			// bit-identical to what we would compute, so adopting it is
 			// as sound as a local cache hit.
-			fctx, span := obs.TracerFromContext(ctx).StartSpan(ctx, "cluster.fetch")
+			fctx, span := tracer.StartSpan(ctx, "cluster.fetch")
 			if g, peer, err := s.cluster.FetchGraph(fctx, key); err == nil {
 				span.Annotate("peer", peer)
 				span.End()
 				lg.Debug("profile fetched from peer", "peer", peer)
-				if ri := requestInfo(ctx); ri != nil {
-					ri.remotePeer.Store(peer)
-				}
+				tracer.Note(func(ev *obs.RequestEvent) { ev.Peer = peer })
 				if s.store != nil {
 					g.Freeze() // see the fresh-profile Save below
 					_ = s.store.Save(key, g)
@@ -679,7 +628,7 @@ func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Gra
 			// no node in the cluster ever profiles it again. The
 			// replication send itself is asynchronous; the span marks
 			// that this request initiated it.
-			octx, span := obs.TracerFromContext(ctx).StartSpan(ctx, "cluster.offer")
+			octx, span := tracer.StartSpan(ctx, "cluster.offer")
 			s.cluster.OfferGraph(octx, key, g)
 			span.End()
 		}
@@ -687,9 +636,7 @@ func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Gra
 	})
 	if err == nil && cached {
 		lg.Debug("profile served from cache")
-		if ri := requestInfo(ctx); ri != nil {
-			ri.cacheHit.Store(true)
-		}
+		tracer.Note(func(ev *obs.RequestEvent) { ev.CacheHit = true })
 	}
 	return g, key, cached, err
 }
@@ -862,9 +809,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) (any, er
 		// (config, profile, reduction, seed) tuple already computed these
 		// metrics; re-serving them is byte-identical to re-simulating.
 		m, served = hit, ServedFromStore
-		if ri := requestInfo(r.Context()); ri != nil {
-			ri.storeHits.Add(1)
-		}
+		obs.TracerFromContext(r.Context()).Note(func(ev *obs.RequestEvent) { ev.StoreHits++ })
 	} else {
 		err = s.retryRun(r.Context(), func() error {
 			return s.pool.Do(r.Context(), func(ctx context.Context) error {
@@ -1125,11 +1070,11 @@ func (s *Server) sweep(ctx context.Context, base cpu.Config, g *sfg.Graph, point
 	// into the hub would collide with the coordinator's own feed for the
 	// same ID (the first terminal event would silence the rest), so they
 	// run against a nil feed, which discards everything.
+	tracer := obs.TracerFromContext(ctx)
 	var feed *progressFeed
 	if !opts.fanout {
-		feed = s.progress.feed(obs.TraceIDFromContext(ctx))
+		feed = s.progress.feed(tracer.TraceID())
 	}
-	ri := requestInfo(ctx)
 	opts.Pool, opts.Faults = s.pool, s.faults
 	opts.Progress = func(indices []int, results []SweepResult) {
 		var store, surrogate int
@@ -1144,10 +1089,10 @@ func (s *Server) sweep(ctx context.Context, base cpu.Config, g *sfg.Graph, point
 		s.sweepFromStore.Add(uint64(store))
 		s.sweepFromSurrogate.Add(uint64(surrogate))
 		s.sweepSimulated.Add(uint64(len(indices) - store - surrogate))
-		if ri != nil {
-			ri.storeHits.Add(int64(store))
-			ri.surrogateHits.Add(int64(surrogate))
-		}
+		tracer.Note(func(ev *obs.RequestEvent) {
+			ev.StoreHits += store
+			ev.SurrogateHits += surrogate
+		})
 		feed.publishPoints(indices, results)
 	}
 	resumedAtOpen := 0
@@ -1156,7 +1101,7 @@ func (s *Server) sweep(ctx context.Context, base cpu.Config, g *sfg.Graph, point
 		defer s.sweepLocks.lock(id)()
 		if j, err := OpenSweepJournal(s.store.JournalPath(id), id, len(points), s.faults); err == nil {
 			defer j.Close()
-			s.log.Debug("sweep checkpoint journal opened", "trace_id", obs.TraceIDFromContext(ctx),
+			s.log.Debug("sweep checkpoint journal opened", "trace_id", tracer.TraceID(),
 				"fingerprint", id, "points", len(points), "resumed", j.Resumed(), "dropped", j.Dropped())
 			opts.Journal, resumedAtOpen = j, j.Resumed()
 		}
@@ -1164,8 +1109,8 @@ func (s *Server) sweep(ctx context.Context, base cpu.Config, g *sfg.Graph, point
 	feed.begin(len(points), resumedAtOpen)
 	results, resumed, err := Sweep(ctx, base, g, points, red, simSeed, opts)
 	s.sweepResumed.Add(uint64(resumed))
-	if resumed > 0 && ri != nil {
-		ri.resumed.Store(int64(resumed))
+	if resumed > 0 {
+		tracer.Note(func(ev *obs.RequestEvent) { ev.Resumed = resumed })
 	}
 	feed.finish(err)
 	return results, resumed, err
@@ -1215,19 +1160,17 @@ func (s *Server) writeManifest(ctx context.Context, endpoint string, fill func(m
 	if s.opts.ManifestDir == "" {
 		return
 	}
-	traceID := obs.TraceIDFromContext(ctx)
+	tracer := obs.TracerFromContext(ctx)
+	traceID := tracer.TraceID()
 	m := obs.NewManifest("statsimd " + endpoint)
-	m.TraceID = traceID
 	m.NumWorkers = s.pool.Stats().Workers
-	m.FillStages(obs.TracerFromContext(ctx))
-	if ri := requestInfo(ctx); ri != nil {
-		sh, su := int(ri.storeHits.Load()), int(ri.surrogateHits.Load())
-		if sh > 0 || su > 0 {
-			// A manifest containing any surrogate-served point records
-			// estimates, and Estimated marks it so downstream consumers
-			// (golden corpora, accuracy studies) never treat it as truth.
-			m.Oracle = &obs.ManifestOracle{StoreHits: sh, SurrogateHits: su, Estimated: su > 0}
-		}
+	m.FillStages(tracer)
+	if ev := tracer.Event(); ev.StoreHits > 0 || ev.SurrogateHits > 0 {
+		// A manifest containing any surrogate-served point records
+		// estimates, and Estimated marks it so downstream consumers
+		// (golden corpora, accuracy studies) never treat it as truth.
+		m.Oracle = &obs.ManifestOracle{StoreHits: ev.StoreHits, SurrogateHits: ev.SurrogateHits,
+			Estimated: ev.SurrogateHits > 0}
 	}
 	fill(&m)
 	name := strings.ReplaceAll(strings.TrimPrefix(endpoint, "/"), "/", "-") + "-" + traceID + ".json"
@@ -1312,10 +1255,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(h)
 }
 
-// gatherMetrics snapshots the non-registry state both metrics views
-// render.
-func (s *Server) gatherMetrics() (RobustnessStats, *StoreStats, FidelityStats, *OracleStatus, *ClusterMetrics) {
-	robustness := RobustnessStats{
+// metricsSnapshot is the state both metrics views render: the
+// registry's families, cache and pool, plus the robustness, fidelity,
+// store, oracle and cluster counters.
+func (s *Server) metricsSnapshot() MetricsSnapshot {
+	snap := s.metrics.Snapshot(s.cache, s.pool)
+	snap.Robustness = RobustnessStats{
 		Shed:                     s.shed.Load(),
 		Retries:                  s.retries.Load(),
 		SweepPointsResumed:       s.sweepResumed.Load(),
@@ -1323,40 +1268,30 @@ func (s *Server) gatherMetrics() (RobustnessStats, *StoreStats, FidelityStats, *
 		SweepPointsFromSurrogate: s.sweepFromSurrogate.Load(),
 		SweepPointsSimulated:     s.sweepSimulated.Load(),
 	}
-	var store *StoreStats
+	snap.Fidelity = s.fidelity.stats()
 	if s.store != nil {
 		st := s.store.Stats()
-		store = &st
+		snap.Store = &st
 	}
-	var cluster *ClusterMetrics
-	if s.cluster != nil {
-		cluster = &ClusterMetrics{ClusterStats: s.cluster.Stats(), Served: s.clusterServed.snapshot()}
-	}
-	var oracleStatus *OracleStatus
 	if s.oracle.enabled() {
 		st := s.oracle.status()
-		oracleStatus = &st
+		snap.Oracle = &st
 	}
-	return robustness, store, s.fidelity.stats(), oracleStatus, cluster
+	if s.cluster != nil {
+		snap.Cluster = &ClusterMetrics{ClusterStats: s.cluster.Stats(), Served: s.clusterServed.snapshot()}
+	}
+	return snap
 }
 
 // renderPrometheus writes this node's complete Prometheus exposition —
 // the same bytes GET /metrics?format=prometheus serves, reused by the
 // fleet-merged view at GET /v1/cluster/metrics.
 func (s *Server) renderPrometheus(w io.Writer) error {
-	robustness, store, fid, oracleStatus, cluster := s.gatherMetrics()
 	return writePrometheus(w, s.metrics, promSnapshot{
-		uptimeSeconds: time.Since(s.metrics.start).Seconds(),
-		build:         s.build,
-		cache:         s.cache.Stats(),
-		pool:          s.pool.Stats(),
-		robustness:    robustness,
-		store:         store,
-		flightEvents:  s.flight.Total(),
-		fidelity:      fid,
-		oracle:        oracleStatus,
-		cluster:       cluster,
-		costs:         s.costs.export(),
+		MetricsSnapshot: s.metricsSnapshot(),
+		build:           s.build,
+		flightEvents:    s.flight.Total(),
+		costs:           s.costs.export(),
 	})
 }
 
@@ -1366,15 +1301,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.renderPrometheus(w)
 		return
 	}
-	robustness, store, fid, oracleStatus, cluster := s.gatherMetrics()
-	snap := s.metrics.Snapshot(s.cache, s.pool)
-	snap.Robustness = robustness
-	snap.Store = store
-	snap.Fidelity = fid
-	snap.Oracle = oracleStatus
-	snap.Cluster = cluster
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(snap)
+	json.NewEncoder(w).Encode(s.metricsSnapshot())
 }
 
 // DebugRequestsResponse is the GET /v1/debug/requests body: the flight
@@ -1394,9 +1322,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(httpError{Error: "n must be a positive integer"})
+			writeJSONError(w, badRequest("n must be a positive integer"))
 			return
 		}
 		n = v
@@ -1430,18 +1356,16 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 // roots — a partial tree is still a tree, never an error.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := obs.SanitizeTraceID(r.PathValue("id"))
-	w.Header().Set("Content-Type", "application/json")
 	if id == "" {
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(httpError{Error: "a trace ID is required"})
+		writeJSONError(w, badRequest("a trace ID is required"))
 		return
 	}
 	spans, ok := s.traces.Get(id)
 	if !ok {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(httpError{Error: fmt.Sprintf("trace %q not retained", id)})
+		writeJSONError(w, &apiError{code: http.StatusNotFound, err: fmt.Errorf("trace %q not retained", id)})
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(obs.AssembleTree(id, spans))
 }
 
@@ -1455,9 +1379,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSweepProgress(w http.ResponseWriter, r *http.Request) {
 	id := obs.SanitizeTraceID(r.URL.Query().Get("id"))
 	if id == "" {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(httpError{Error: "id query parameter (the sweep's trace ID) is required"})
+		writeJSONError(w, badRequest("id query parameter (the sweep's trace ID) is required"))
 		return
 	}
 	fl, ok := w.(http.Flusher)

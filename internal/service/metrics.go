@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 	"time"
@@ -113,100 +114,67 @@ func (l *LatencyHist) Snapshot() LatencySnapshot {
 	return s
 }
 
-// knownEndpoints and knownStages are the families every daemon life
-// observes; pre-registering them at construction keeps the hot
-// observation path off the registry mutex (see Metrics).
+// knownEndpoints and knownStages are the daemon's metrics families: New
+// instruments exactly these endpoints, and a daemon request's tracer
+// yields only these stages (sweep and fidelity are CLI-only stages).
 var (
 	knownEndpoints = []string{"/v1/profile", "/v1/simulate", "/v1/sweep", "/v1/workloads"}
 	knownStages    = []string{obs.StageProfile, obs.StageReduce, obs.StageGenerate,
 		obs.StageSimulate, obs.StageReference}
 )
 
-// Metrics aggregates the daemon's operational counters: per-endpoint
-// latency histograms, per-pipeline-stage timing histograms (profile /
+// Metrics is the daemon's metrics registry: per-endpoint latency
+// histograms and per-pipeline-stage timing histograms (profile /
 // reduce / generate / simulate, fed by the stage spans on each
-// request's tracer), plus cache and pool statistics,
-// served as JSON by GET /metrics and as Prometheus text exposition by
-// GET /metrics?format=prometheus.
+// request's tracer). Both /metrics views render it, with the cache,
+// pool and robustness state, from one MetricsSnapshot.
 //
-// The known endpoint and stage families are pre-registered into
-// immutable maps at construction, so the per-observation lookup on the
-// request path is a lock-free map read; the registry mutex is taken
-// only for names the daemon has never seen (custom span names from
-// future pipeline stages) and for snapshots.
+// The families are fixed at construction and the maps are never
+// mutated afterwards, so observations and snapshots read them without
+// a lock.
 type Metrics struct {
-	start time.Time
-
-	// known is built once in NewMetrics and never mutated afterwards —
-	// concurrent lock-free reads are safe.
-	knownEndpoints map[string]*LatencyHist
-	knownStages    map[string]*LatencyHist
-
-	mu        sync.Mutex
-	endpoints map[string]*LatencyHist // unknown names only
-	stages    map[string]*LatencyHist // unknown names only
+	start     time.Time
+	endpoints map[string]*LatencyHist
+	stages    map[string]*LatencyHist
 }
 
-// NewMetrics returns a metrics registry with the known endpoint and
-// stage families pre-registered.
+// NewMetrics returns a registry holding the daemon's endpoint and stage
+// families.
 func NewMetrics() *Metrics {
 	m := &Metrics{
-		start:          time.Now(),
-		knownEndpoints: make(map[string]*LatencyHist, len(knownEndpoints)),
-		knownStages:    make(map[string]*LatencyHist, len(knownStages)),
-		endpoints:      make(map[string]*LatencyHist),
-		stages:         make(map[string]*LatencyHist),
+		start:     time.Now(),
+		endpoints: make(map[string]*LatencyHist, len(knownEndpoints)),
+		stages:    make(map[string]*LatencyHist, len(knownStages)),
 	}
 	for _, name := range knownEndpoints {
-		m.knownEndpoints[name] = NewLatencyHist()
+		m.endpoints[name] = NewLatencyHist()
 	}
 	for _, name := range knownStages {
-		m.knownStages[name] = NewLatencyHist()
+		m.stages[name] = NewLatencyHist()
 	}
 	return m
 }
 
-// Endpoint returns (creating if needed) the histogram for an endpoint.
-// Known endpoints resolve without the registry lock.
+// Endpoint returns the histogram for an instrumented endpoint. A name
+// without a family is a programming error and panics, so an endpoint
+// registered in New without one fails at construction.
 func (m *Metrics) Endpoint(name string) *LatencyHist {
-	if l, ok := m.knownEndpoints[name]; ok {
-		return l
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	l, ok := m.endpoints[name]
 	if !ok {
-		l = NewLatencyHist()
-		m.endpoints[name] = l
+		panic(fmt.Sprintf("service: no metrics family for endpoint %q", name))
 	}
 	return l
 }
 
-// StageObserve records one pipeline stage execution. Stage timings use
-// the same log2-microsecond buckets as endpoint latencies, so both
-// families read identically off /metrics. Known stages resolve without
-// the registry lock.
-func (m *Metrics) StageObserve(name string, d time.Duration) {
-	if l, ok := m.knownStages[name]; ok {
-		l.Observe(d, false)
-		return
-	}
-	m.mu.Lock()
-	l, ok := m.stages[name]
-	if !ok {
-		l = NewLatencyHist()
-		m.stages[name] = l
-	}
-	m.mu.Unlock()
-	l.Observe(d, false)
-}
-
 // ObserveStages folds a request's stage timings (obs.Tracer.Stages)
 // into the per-stage families: one observation per stage the request
-// ran, of that stage's self time.
+// ran, of that stage's self time, in the same log2-microsecond buckets
+// as endpoint latencies.
 func (m *Metrics) ObserveStages(stages []obs.StageTiming) {
 	for _, st := range stages {
-		m.StageObserve(st.Name, time.Duration(st.DurationS*float64(time.Second)))
+		if l := m.stages[st.Name]; l != nil {
+			l.Observe(time.Duration(st.DurationS*float64(time.Second)), false)
+		}
 	}
 }
 
@@ -243,12 +211,12 @@ type MetricsSnapshot struct {
 	Stages        map[string]LatencySnapshot `json:"stages"`
 }
 
-// Snapshot assembles the full metrics view from the registry plus the
-// cache and pool it reports on.
+// Snapshot assembles the registry's part of the metrics view plus the
+// cache and pool it reports on; the Server fills in the rest.
 func (m *Metrics) Snapshot(cache *GraphCache, pool *Pool) MetricsSnapshot {
 	s := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
-		Endpoints:     make(map[string]LatencySnapshot),
+		Endpoints:     make(map[string]LatencySnapshot, len(m.endpoints)),
 		Stages:        make(map[string]LatencySnapshot),
 	}
 	if cache != nil {
@@ -257,44 +225,14 @@ func (m *Metrics) Snapshot(cache *GraphCache, pool *Pool) MetricsSnapshot {
 	if pool != nil {
 		s.Pool = pool.Stats()
 	}
-	for name, l := range m.eachEndpoint() {
+	for name, l := range m.endpoints {
 		s.Endpoints[name] = l.Snapshot()
 	}
-	// Stage families appear once observed (pre-registration is an
-	// implementation detail, not a wire-format change).
-	for name, l := range m.eachStage() {
+	// Stage families appear once observed.
+	for name, l := range m.stages {
 		if snap := l.Snapshot(); snap.Count > 0 {
 			s.Stages[name] = snap
 		}
 	}
 	return s
-}
-
-// eachEndpoint returns every registered endpoint family, known and
-// dynamic.
-func (m *Metrics) eachEndpoint() map[string]*LatencyHist {
-	out := make(map[string]*LatencyHist, len(m.knownEndpoints))
-	for name, l := range m.knownEndpoints {
-		out[name] = l
-	}
-	m.mu.Lock()
-	for name, l := range m.endpoints {
-		out[name] = l
-	}
-	m.mu.Unlock()
-	return out
-}
-
-// eachStage returns every registered stage family, known and dynamic.
-func (m *Metrics) eachStage() map[string]*LatencyHist {
-	out := make(map[string]*LatencyHist, len(m.knownStages))
-	for name, l := range m.knownStages {
-		out[name] = l
-	}
-	m.mu.Lock()
-	for name, l := range m.stages {
-		out[name] = l
-	}
-	m.mu.Unlock()
-	return out
 }

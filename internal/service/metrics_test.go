@@ -76,13 +76,14 @@ func TestLatencyHistConcurrent(t *testing.T) {
 	}
 }
 
-// TestStageMetrics pins the pipeline-stage family: StageObserve creates
-// families on demand, ObserveStages folds a tracer's stage timings in,
-// and both surface through Snapshot under the stage names.
+// TestStageMetrics pins the pipeline-stage family: ObserveStages folds
+// a tracer's stage timings into the daemon's stage families, which
+// surface through Snapshot under the stage names; a CLI-only stage has
+// no family.
 func TestStageMetrics(t *testing.T) {
 	m := NewMetrics()
-	m.StageObserve(obs.StageProfile, 3*time.Millisecond)
-	m.StageObserve(obs.StageProfile, 5*time.Millisecond)
+	m.ObserveStages([]obs.StageTiming{{Name: obs.StageProfile, DurationS: 3e-3}, {Name: obs.StageSweep, DurationS: 1}})
+	m.ObserveStages([]obs.StageTiming{{Name: obs.StageProfile, DurationS: 5e-3}})
 
 	tr := obs.NewTracer("t", "local")
 	_, sp := tr.StartSpan(context.Background(), obs.StageSimulate)
@@ -100,4 +101,16 @@ func TestStageMetrics(t *testing.T) {
 	if len(snap.Stages) != 2 {
 		t.Errorf("unexpected stage families: %+v", snap.Stages)
 	}
+}
+
+// TestMetricsUnknownEndpointPanics: an endpoint without a family is a
+// programming error that fails at construction, not a family created
+// on the fly.
+func TestMetricsUnknownEndpointPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Endpoint on an unknown name did not panic")
+		}
+	}()
+	NewMetrics().Endpoint("/v1/unknown")
 }

@@ -124,20 +124,14 @@ func sortedFamilies(m map[string]*LatencyHist) []string {
 	return names
 }
 
-// promSnapshot bundles the non-histogram state the exposition renders
-// alongside the registry.
+// promSnapshot is what the exposition renders alongside the registry's
+// histograms: the JSON view's snapshot plus the state only the text
+// exposition carries.
 type promSnapshot struct {
-	uptimeSeconds float64
-	build         BuildInfo
-	cache         CacheStats
-	pool          PoolStats
-	robustness    RobustnessStats
-	store         *StoreStats
-	flightEvents  uint64
-	fidelity      FidelityStats
-	oracle        *OracleStatus
-	cluster       *ClusterMetrics
-	costs         []costSample
+	MetricsSnapshot
+	build        BuildInfo
+	flightEvents uint64
+	costs        []costSample
 }
 
 // writePrometheus renders the complete exposition. Every family carries
@@ -146,7 +140,7 @@ func writePrometheus(w io.Writer, m *Metrics, st promSnapshot) error {
 	p := &promWriter{w: w}
 
 	p.family("statsimd_uptime_seconds", "Seconds since the daemon's metrics registry was created.", "gauge")
-	p.sample("statsimd_uptime_seconds", promFloat(st.uptimeSeconds))
+	p.sample("statsimd_uptime_seconds", promFloat(st.UptimeSeconds))
 
 	p.family("statsimd_build_info", "Build provenance; the value is always 1.", "gauge")
 	p.sample("statsimd_build_info", "1",
@@ -155,11 +149,10 @@ func writePrometheus(w io.Writer, m *Metrics, st promSnapshot) error {
 		"revision", st.build.Revision,
 		"dirty", strconv.FormatBool(st.build.Dirty))
 
-	endpoints := m.eachEndpoint()
-	names := sortedFamilies(endpoints)
+	names := sortedFamilies(m.endpoints)
 	exports := make(map[string]latencyExport, len(names))
 	for _, name := range names {
-		exports[name] = endpoints[name].export()
+		exports[name] = m.endpoints[name].export()
 	}
 	p.family("statsimd_requests_total", "Requests served, by endpoint.", "counter")
 	for _, name := range names {
@@ -175,49 +168,47 @@ func writePrometheus(w io.Writer, m *Metrics, st promSnapshot) error {
 		p.promHistogram("statsimd_request_duration_seconds", "endpoint", name, exports[name])
 	}
 
-	stages := m.eachStage()
-	stageNames := sortedFamilies(stages)
 	p.family("statsimd_stage_duration_seconds",
 		"Pipeline stage time (profile/reduce/generate/simulate), log2-microsecond buckets in seconds.", "histogram")
-	for _, name := range stageNames {
-		p.promHistogram("statsimd_stage_duration_seconds", "stage", name, stages[name].export())
+	for _, name := range sortedFamilies(m.stages) {
+		p.promHistogram("statsimd_stage_duration_seconds", "stage", name, m.stages[name].export())
 	}
 
 	p.family("statsimd_cache_lookups_total", "SFG cache lookups by outcome (hit, miss, coalesced).", "counter")
-	p.sample("statsimd_cache_lookups_total", promUint(st.cache.Hits), "outcome", "hit")
-	p.sample("statsimd_cache_lookups_total", promUint(st.cache.Misses), "outcome", "miss")
-	p.sample("statsimd_cache_lookups_total", promUint(st.cache.Coalesced), "outcome", "coalesced")
+	p.sample("statsimd_cache_lookups_total", promUint(st.Cache.Hits), "outcome", "hit")
+	p.sample("statsimd_cache_lookups_total", promUint(st.Cache.Misses), "outcome", "miss")
+	p.sample("statsimd_cache_lookups_total", promUint(st.Cache.Coalesced), "outcome", "coalesced")
 	p.family("statsimd_cache_evictions_total", "SFG cache LRU evictions.", "counter")
-	p.sample("statsimd_cache_evictions_total", promUint(st.cache.Evictions))
+	p.sample("statsimd_cache_evictions_total", promUint(st.Cache.Evictions))
 	p.family("statsimd_cache_resident", "Statistical profiles currently resident.", "gauge")
-	p.sample("statsimd_cache_resident", strconv.Itoa(st.cache.Size))
+	p.sample("statsimd_cache_resident", strconv.Itoa(st.Cache.Size))
 	p.family("statsimd_cache_capacity", "Configured SFG cache capacity.", "gauge")
-	p.sample("statsimd_cache_capacity", strconv.Itoa(st.cache.Capacity))
+	p.sample("statsimd_cache_capacity", strconv.Itoa(st.Cache.Capacity))
 
 	p.family("statsimd_pool_workers", "Worker goroutines.", "gauge")
-	p.sample("statsimd_pool_workers", strconv.Itoa(st.pool.Workers))
+	p.sample("statsimd_pool_workers", strconv.Itoa(st.Pool.Workers))
 	p.family("statsimd_pool_queue_depth", "Jobs queued but not yet running.", "gauge")
-	p.sample("statsimd_pool_queue_depth", strconv.Itoa(st.pool.QueueDepth))
+	p.sample("statsimd_pool_queue_depth", strconv.Itoa(st.Pool.QueueDepth))
 	p.family("statsimd_pool_in_flight", "Jobs currently executing.", "gauge")
-	p.sample("statsimd_pool_in_flight", strconv.Itoa(st.pool.InFlight))
+	p.sample("statsimd_pool_in_flight", strconv.Itoa(st.Pool.InFlight))
 	p.family("statsimd_pool_jobs_completed_total", "Jobs run to completion.", "counter")
-	p.sample("statsimd_pool_jobs_completed_total", promUint(st.pool.Completed))
+	p.sample("statsimd_pool_jobs_completed_total", promUint(st.Pool.Completed))
 	p.family("statsimd_pool_jobs_failed_total", "Jobs that returned an error (including isolated panics).", "counter")
-	p.sample("statsimd_pool_jobs_failed_total", promUint(st.pool.Failed))
+	p.sample("statsimd_pool_jobs_failed_total", promUint(st.Pool.Failed))
 	p.family("statsimd_pool_job_panics_total", "Jobs that panicked and were isolated.", "counter")
-	p.sample("statsimd_pool_job_panics_total", promUint(st.pool.Panics))
+	p.sample("statsimd_pool_job_panics_total", promUint(st.Pool.Panics))
 
 	p.family("statsimd_shed_requests_total", "Requests shed by admission control (HTTP 429).", "counter")
-	p.sample("statsimd_shed_requests_total", promUint(st.robustness.Shed))
+	p.sample("statsimd_shed_requests_total", promUint(st.Robustness.Shed))
 	p.family("statsimd_job_retries_total", "Transient job failures retried.", "counter")
-	p.sample("statsimd_job_retries_total", promUint(st.robustness.Retries))
+	p.sample("statsimd_job_retries_total", promUint(st.Robustness.Retries))
 	p.family("statsimd_sweep_points_resumed_total", "Sweep points served from checkpoint journals.", "counter")
-	p.sample("statsimd_sweep_points_resumed_total", promUint(st.robustness.SweepPointsResumed))
+	p.sample("statsimd_sweep_points_resumed_total", promUint(st.Robustness.SweepPointsResumed))
 	p.family("statsimd_sweep_points_total", "Sweep points by how they were answered: resumed from a checkpoint journal, served from the durable result store, predicted by the gated surrogate, or simulated.", "counter")
-	p.sample("statsimd_sweep_points_total", promUint(st.robustness.SweepPointsResumed), "source", "resumed")
-	p.sample("statsimd_sweep_points_total", promUint(st.robustness.SweepPointsFromStore), "source", "store")
-	p.sample("statsimd_sweep_points_total", promUint(st.robustness.SweepPointsFromSurrogate), "source", "surrogate")
-	p.sample("statsimd_sweep_points_total", promUint(st.robustness.SweepPointsSimulated), "source", "simulated")
+	p.sample("statsimd_sweep_points_total", promUint(st.Robustness.SweepPointsResumed), "source", "resumed")
+	p.sample("statsimd_sweep_points_total", promUint(st.Robustness.SweepPointsFromStore), "source", "store")
+	p.sample("statsimd_sweep_points_total", promUint(st.Robustness.SweepPointsFromSurrogate), "source", "surrogate")
+	p.sample("statsimd_sweep_points_total", promUint(st.Robustness.SweepPointsSimulated), "source", "simulated")
 
 	if len(st.costs) > 0 {
 		p.family("statsimd_point_cost_points_total", "Cost-ledger entries by serving tier and executing node.", "counter")
@@ -234,31 +225,31 @@ func writePrometheus(w io.Writer, m *Metrics, st promSnapshot) error {
 	p.sample("statsimd_flight_events_total", promUint(st.flightEvents))
 
 	p.family("statsimd_fidelity_runs_total", "Adaptive-fidelity engine evaluations.", "counter")
-	p.sample("statsimd_fidelity_runs_total", promUint(st.fidelity.Runs))
+	p.sample("statsimd_fidelity_runs_total", promUint(st.Fidelity.Runs))
 	p.family("statsimd_fidelity_converged_total", "Fidelity evaluations that met their CI target.", "counter")
-	p.sample("statsimd_fidelity_converged_total", promUint(st.fidelity.Converged))
+	p.sample("statsimd_fidelity_converged_total", promUint(st.Fidelity.Converged))
 	p.family("statsimd_fidelity_escalations_total", "Phase strata escalated to execution-driven simulation.", "counter")
-	p.sample("statsimd_fidelity_escalations_total", promUint(st.fidelity.Escalations))
+	p.sample("statsimd_fidelity_escalations_total", promUint(st.Fidelity.Escalations))
 	p.family("statsimd_fidelity_detailed_insts_total", "Instructions run through the execution-driven model by fidelity escalations (warm-up included).", "counter")
-	p.sample("statsimd_fidelity_detailed_insts_total", promUint(st.fidelity.DetailedInsts))
+	p.sample("statsimd_fidelity_detailed_insts_total", promUint(st.Fidelity.DetailedInsts))
 	p.family("statsimd_fidelity_ci_width", "Final relative CI half-width per fidelity evaluation (sum/count expose the mean).", "summary")
-	p.sampleFloat("statsimd_fidelity_ci_width_sum", st.fidelity.CIWidthSum)
-	p.sample("statsimd_fidelity_ci_width_count", promUint(st.fidelity.CIWidthCount))
+	p.sampleFloat("statsimd_fidelity_ci_width_sum", st.Fidelity.CIWidthSum)
+	p.sample("statsimd_fidelity_ci_width_count", promUint(st.Fidelity.CIWidthCount))
 
-	if st.store != nil {
+	if st.Store != nil {
 		p.family("statsimd_store_loads_total", "Durable profile loads served from disk.", "counter")
-		p.sample("statsimd_store_loads_total", promUint(st.store.Loads))
+		p.sample("statsimd_store_loads_total", promUint(st.Store.Loads))
 		p.family("statsimd_store_misses_total", "Durable profile lookups with no usable file on disk (none, or an older store version).", "counter")
-		p.sample("statsimd_store_misses_total", promUint(st.store.Misses))
+		p.sample("statsimd_store_misses_total", promUint(st.Store.Misses))
 		p.family("statsimd_store_saves_total", "Durable profile writes.", "counter")
-		p.sample("statsimd_store_saves_total", promUint(st.store.Saves))
+		p.sample("statsimd_store_saves_total", promUint(st.Store.Saves))
 		p.family("statsimd_store_save_failures_total", "Durable profile writes that failed.", "counter")
-		p.sample("statsimd_store_save_failures_total", promUint(st.store.SaveFailures))
+		p.sample("statsimd_store_save_failures_total", promUint(st.Store.SaveFailures))
 		p.family("statsimd_store_quarantined_total", "Corrupt profile files quarantined.", "counter")
-		p.sample("statsimd_store_quarantined_total", promUint(st.store.Quarantined))
+		p.sample("statsimd_store_quarantined_total", promUint(st.Store.Quarantined))
 	}
 
-	if o := st.oracle; o != nil {
+	if o := st.Oracle; o != nil {
 		p.family("statsimd_oracle_points_total", "Design points answered, by source (store = exact durable hit, surrogate = gated prediction, simulated = computed and fed back).", "counter")
 		p.sample("statsimd_oracle_points_total", promUint(o.StoreServed), "source", "store")
 		p.sample("statsimd_oracle_points_total", promUint(o.SurrogateServed), "source", "surrogate")
@@ -282,7 +273,7 @@ func writePrometheus(w io.Writer, m *Metrics, st promSnapshot) error {
 		}
 	}
 
-	if c := st.cluster; c != nil {
+	if c := st.Cluster; c != nil {
 		p.family("statsimd_cluster_peers", "Configured peers by health state.", "gauge")
 		p.sample("statsimd_cluster_peers", strconv.Itoa(c.PeersHealthy), "state", "healthy")
 		p.sample("statsimd_cluster_peers", strconv.Itoa(c.PeersTotal-c.PeersHealthy), "state", "ejected")

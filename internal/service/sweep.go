@@ -325,11 +325,10 @@ func (sw *sweepRun) clusterJob(ctx context.Context, pending []int) ClusterSweepJ
 		},
 		Local: sw.simulate,
 		Failover: func(peer string, n int) {
-			sw.opts.log.Warn("sweep failover", "trace_id", obs.TraceIDFromContext(ctx),
+			tracer := obs.TracerFromContext(ctx)
+			sw.opts.log.Warn("sweep failover", "trace_id", tracer.TraceID(),
 				"peer", peer, "repartitioned_points", n)
-			if ri := requestInfo(ctx); ri != nil {
-				ri.failovers.Add(1)
-			}
+			tracer.Note(func(ev *obs.RequestEvent) { ev.Failovers++ })
 		},
 	}
 }

@@ -21,28 +21,29 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
 // TestMetricsConcurrent hammers the registry from many goroutines —
-// known and unknown endpoint/stage names plus concurrent snapshots —
-// and checks the totals. Run under -race this also proves the
-// pre-registered lock-free fast path is sound.
+// endpoint and stage observations plus concurrent snapshots — and
+// checks the totals. Run under -race this also proves the lock-free
+// reads of the fixed family maps are sound.
 func TestMetricsConcurrent(t *testing.T) {
 	m := NewMetrics()
 	const goroutines = 8
 	const perG = 200
+	stages := []obs.StageTiming{{Name: obs.StageGenerate, DurationS: 1e-6}, {Name: obs.StageSimulate, DurationS: 1e-4}}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			dyn := fmt.Sprintf("/dyn/%d", g%2)
+			other := knownEndpoints[2+g%2]
 			for i := 0; i < perG; i++ {
 				m.Endpoint("/v1/simulate").Observe(time.Millisecond, i%10 == 0)
-				m.Endpoint(dyn).Observe(time.Microsecond, false)
-				m.StageObserve(obs.StageSimulate, 100*time.Microsecond)
-				m.StageObserve("custom-stage", time.Microsecond)
+				m.Endpoint(other).Observe(time.Microsecond, false)
+				m.ObserveStages(stages)
 				if i%50 == 0 {
 					_ = m.Snapshot(nil, nil)
 				}
@@ -57,16 +58,15 @@ func TestMetricsConcurrent(t *testing.T) {
 	if got := snap.Endpoints["/v1/simulate"].Errors; got != goroutines*perG/10 {
 		t.Errorf("/v1/simulate errors = %d, want %d", got, goroutines*perG/10)
 	}
-	for _, dyn := range []string{"/dyn/0", "/dyn/1"} {
-		if got := snap.Endpoints[dyn].Count; got != goroutines/2*perG {
-			t.Errorf("%s count = %d, want %d", dyn, got, goroutines/2*perG)
+	for _, other := range knownEndpoints[2:] {
+		if got := snap.Endpoints[other].Count; got != goroutines/2*perG {
+			t.Errorf("%s count = %d, want %d", other, got, goroutines/2*perG)
 		}
 	}
-	if got := snap.Stages[obs.StageSimulate].Count; got != goroutines*perG {
-		t.Errorf("simulate stage count = %d, want %d", got, goroutines*perG)
-	}
-	if got := snap.Stages["custom-stage"].Count; got != goroutines*perG {
-		t.Errorf("custom stage count = %d, want %d", got, goroutines*perG)
+	for _, st := range stages {
+		if got := snap.Stages[st.Name].Count; got != goroutines*perG {
+			t.Errorf("%s stage count = %d, want %d", st.Name, got, goroutines*perG)
+		}
 	}
 }
 
@@ -78,7 +78,7 @@ func TestMetricsSnapshotOmitsIdleStages(t *testing.T) {
 	if got := len(m.Snapshot(nil, nil).Stages); got != 0 {
 		t.Fatalf("fresh registry reports %d stage families, want 0", got)
 	}
-	m.StageObserve(obs.StageProfile, time.Millisecond)
+	m.ObserveStages([]obs.StageTiming{{Name: obs.StageProfile, DurationS: 1e-3}})
 	snap := m.Snapshot(nil, nil)
 	if len(snap.Stages) != 1 || snap.Stages[obs.StageProfile].Count != 1 {
 		t.Fatalf("stages after one observation: %+v", snap.Stages)
@@ -190,8 +190,8 @@ func parsePrometheus(t *testing.T, body string) []promSample {
 
 // TestPrometheusExposition drives known observations through the
 // registry, renders the exposition and parses it back, checking the
-// numbers survive the round trip: counts, cumulative bucket series,
-// sums in seconds, and label escaping.
+// numbers survive the round trip: counts, cumulative bucket series and
+// sums in seconds. TestPrometheusCostFamilies covers label escaping.
 func TestPrometheusExposition(t *testing.T) {
 	m := NewMetrics()
 	// 3 requests on /v1/simulate (one failed), durations 1ms, 2ms, 1s.
@@ -199,18 +199,18 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(time.Millisecond, false)
 	h.Observe(2*time.Millisecond, true)
 	h.Observe(time.Second, false)
-	// A dynamic endpoint whose name needs escaping.
-	m.Endpoint(`/odd"path\`).Observe(time.Millisecond, false)
-	m.StageObserve(obs.StageSimulate, 5*time.Millisecond)
+	m.ObserveStages([]obs.StageTiming{{Name: obs.StageSimulate, DurationS: 5e-3}})
 
 	var buf bytes.Buffer
 	st := promSnapshot{
-		uptimeSeconds: 12.5,
-		build:         BuildInfo{GoVersion: "go1.xx", Revision: "abc", Dirty: true},
-		cache:         CacheStats{Hits: 7, Misses: 3, Capacity: 16},
-		pool:          PoolStats{Workers: 4},
-		robustness:    RobustnessStats{Shed: 2},
-		flightEvents:  9,
+		MetricsSnapshot: MetricsSnapshot{
+			UptimeSeconds: 12.5,
+			Cache:         CacheStats{Hits: 7, Misses: 3, Capacity: 16},
+			Pool:          PoolStats{Workers: 4},
+			Robustness:    RobustnessStats{Shed: 2},
+		},
+		build:        BuildInfo{GoVersion: "go1.xx", Revision: "abc", Dirty: true},
+		flightEvents: 9,
 	}
 	if err := writePrometheus(&buf, m, st); err != nil {
 		t.Fatal(err)
@@ -241,10 +241,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if s := find("statsimd_request_errors_total", map[string]string{"endpoint": "/v1/simulate"}); s == nil || s.value != 1 {
 		t.Errorf("request_errors_total{/v1/simulate} = %+v, want 1", s)
-	}
-	// The escaped label value must round-trip to the original name.
-	if s := find("statsimd_requests_total", map[string]string{"endpoint": `/odd"path\`}); s == nil || s.value != 1 {
-		t.Errorf("escaped endpoint label did not round-trip: %+v", s)
 	}
 	if s := find("statsimd_build_info", map[string]string{"revision": "abc", "dirty": "true"}); s == nil || s.value != 1 {
 		t.Errorf("build_info = %+v", s)
@@ -582,6 +578,85 @@ func TestTraceIDEndToEnd(t *testing.T) {
 	}
 	if man.TraceID != "e2e-trace-42" || man.Metrics == nil || man.Metrics.IPC <= 0 || len(man.Stages) == 0 {
 		t.Fatalf("manifest = %+v", man)
+	}
+}
+
+// TestFlightEventRecordsOutcome pins what a request's flight event and
+// run manifest record about how the daemon served it: a profile that
+// needed a retry, a simulate served from the SFG cache and one from the
+// result store, a sweep replayed from its journal and one answered by
+// the surrogate.
+func TestFlightEventRecordsOutcome(t *testing.T) {
+	in := fault.New(1)
+	in.Set(SiteProfileJob, fault.Rule{Prob: 1, Times: 1, Err: fault.ErrInjected})
+	manifestDir := t.TempDir()
+	svc, ts := newTestServerOpts(t, Options{
+		Workers: 4, CacheSize: 4, JobTimeout: time.Minute,
+		CacheDir: t.TempDir(), ManifestDir: manifestDir, SurrogateMaxCI: 0.75,
+		Retry: RetryPolicy{Attempts: 3}, Faults: in,
+	})
+	var training []SweepPoint
+	for _, ruu := range []int{16, 24, 32, 48, 64, 96, 128} {
+		for _, w := range []int{2, 4, 8} {
+			training = append(training, SweepPoint{RUU: ruu, LSQ: ruu / 2, Decode: w, Issue: w, Commit: w})
+		}
+	}
+	novel := []SweepPoint{
+		{RUU: 20, LSQ: 10, Decode: 4, Issue: 4, Commit: 4},
+		{RUU: 40, LSQ: 20, Decode: 4, Issue: 4, Commit: 4},
+		{RUU: 80, LSQ: 40, Decode: 4, Issue: 4, Commit: 4},
+	}
+	simulate := SimulateRequest{Profile: oracleTestSpec, Target: 10_000}
+	train := SweepRequest{Profile: oracleTestSpec, Points: training, Target: 10_000}
+
+	type outcome struct {
+		CacheHit                                   bool
+		Retries, Resumed, StoreHits, SurrogateHits int
+	}
+	for _, tc := range []struct {
+		id, path string
+		body     any
+		want     outcome
+		oracle   *obs.ManifestOracle
+	}{
+		{"outcome-retried", "/v1/profile", ProfileRequest{oracleTestSpec}, outcome{Retries: 1}, nil},
+		{"outcome-cache-hit", "/v1/simulate", simulate, outcome{CacheHit: true}, nil},
+		{"outcome-store-hit", "/v1/simulate", simulate, outcome{CacheHit: true, StoreHits: 1},
+			&obs.ManifestOracle{StoreHits: 1}},
+		{"outcome-train", "/v1/sweep", train, outcome{CacheHit: true}, nil},
+		{"outcome-replayed", "/v1/sweep", train, outcome{CacheHit: true, Resumed: len(training)}, nil},
+		{"outcome-surrogate", "/v1/sweep", SweepRequest{Profile: oracleTestSpec, Points: novel, Target: 10_000},
+			outcome{CacheHit: true, SurrogateHits: len(novel)},
+			&obs.ManifestOracle{SurrogateHits: len(novel), Estimated: true}},
+	} {
+		if code, body := postJSONTraced(t, ts.URL+tc.path, tc.id, tc.body, nil); code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.id, code, body)
+		}
+		var events []obs.RequestEvent
+		for _, ev := range svc.flight.Recent(0) {
+			if ev.TraceID == tc.id {
+				events = append(events, ev)
+			}
+		}
+		if len(events) != 1 {
+			t.Fatalf("%s: %d flight events, want 1", tc.id, len(events))
+		}
+		ev := events[0]
+		if ev.Endpoint != tc.path || ev.Status != http.StatusOK || ev.Error != "" {
+			t.Errorf("%s: flight event %+v", tc.id, ev)
+		}
+		got := outcome{ev.CacheHit, ev.Retries, ev.Resumed, ev.StoreHits, ev.SurrogateHits}
+		if got != tc.want {
+			t.Errorf("%s: flight event outcome %+v, want %+v", tc.id, got, tc.want)
+		}
+		name := strings.ReplaceAll(strings.TrimPrefix(tc.path, "/"), "/", "-") + "-" + tc.id + ".json"
+		m := readManifest(t, filepath.Join(manifestDir, name))
+		if m.TraceID != tc.id {
+			t.Errorf("%s: manifest trace ID %q", tc.id, m.TraceID)
+		}
+		if (m.Oracle == nil) != (tc.oracle == nil) || m.Oracle != nil && *m.Oracle != *tc.oracle {
+			t.Errorf("%s: manifest oracle block %+v, want %+v", tc.id, m.Oracle, tc.oracle)
+		}
 	}
 }
 
