@@ -201,16 +201,22 @@ func (g *Graph) edge(from *Node, block int32) *Edge {
 	return e
 }
 
-// Freeze prepares the graph for concurrent read-only use by eagerly
-// building every dependency histogram's cumulative sampling cache (the
-// only lazily written state a finished profile carries). A frozen graph
+// Freeze prepares the graph for concurrent read-only use and sheds its
+// profiling-era storage: every dependency histogram becomes its
+// sampling table (the only lazily written state a finished profile
+// carries), and each edge's slot list and each memory slot's stride
+// table move to backing arrays of exactly their length. A frozen graph
 // can feed any number of simultaneous synthetic-trace generations —
 // which is what a parallel design-space sweep or a caching simulation
 // server does with one profile. Freeze is idempotent and cheap relative
-// to profiling; it must not run concurrently with profiling or with
-// another Freeze of the same graph.
+// to profiling, and on a frozen graph it writes nothing; it must not
+// run concurrently with profiling or with the first Freeze of the same
+// graph.
 func (g *Graph) Freeze() {
 	for _, e := range g.Edges {
+		if cap(e.Insts) > len(e.Insts) {
+			e.Insts = append(make([]InstProfile, 0, len(e.Insts)), e.Insts...)
+		}
 		for i := range e.Insts {
 			ip := &e.Insts[i]
 			for _, h := range ip.Dep {
@@ -220,6 +226,9 @@ func (g *Graph) Freeze() {
 			}
 			if ip.WAW != nil {
 				ip.WAW.Freeze()
+			}
+			if ip.Addr != nil {
+				ip.Addr.freeze()
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -119,7 +118,6 @@ func (g *Graph) appendBinary(b []byte) ([]byte, error) {
 		b = binary.AppendUvarint(b, n.Occ)
 	}
 	b = binary.AppendUvarint(b, uint64(len(g.Edges)))
-	var keys [MaxDistinctStrides]int64
 	for _, e := range g.Edges {
 		b = binary.AppendUvarint(b, uint64(e.From))
 		b = binary.AppendUvarint(b, uint64(e.To))
@@ -167,18 +165,16 @@ func (g *Graph) appendBinary(b []byte) ([]byte, error) {
 			if len(a.Strides) > MaxDistinctStrides {
 				return nil, fmt.Errorf("sfg: edge %d slot %d: more than %d strides", e.ID, i, MaxDistinctStrides)
 			}
-			ks := keys[:0]
-			for d, c := range a.Strides {
-				if c == 0 {
-					return nil, fmt.Errorf("sfg: edge %d slot %d: stride %d has a zero count", e.ID, i, d)
+			b = binary.AppendUvarint(b, uint64(len(a.Strides)))
+			for j, s := range a.Strides {
+				switch {
+				case s.Count == 0:
+					return nil, fmt.Errorf("sfg: edge %d slot %d: stride %d has a zero count", e.ID, i, s.Delta)
+				case j > 0 && s.Delta <= a.Strides[j-1].Delta:
+					return nil, fmt.Errorf("sfg: edge %d slot %d: strides out of order or repeated", e.ID, i)
 				}
-				ks = append(ks, d)
-			}
-			slices.Sort(ks)
-			b = binary.AppendUvarint(b, uint64(len(ks)))
-			for _, d := range ks {
-				b = binary.AppendVarint(b, d)
-				b = binary.AppendUvarint(b, a.Strides[d])
+				b = binary.AppendVarint(b, s.Delta)
+				b = binary.AppendUvarint(b, s.Count)
 			}
 		}
 	}
@@ -389,20 +385,18 @@ func (d *decoder) inst(ip *InstProfile, hists []pendingHist) []pendingHist {
 	}
 	n := d.below(min(MaxDistinctStrides, uint64(len(d.b)-d.off)/2)+1, "stride count")
 	if n > 0 && d.err == nil {
-		a.Strides = make(map[int64]uint64, n)
+		a.Strides = make([]Stride, 0, n)
 	}
-	var prev int64
 	for j := 0; j < n && d.err == nil; j++ {
 		s, c := d.varint(), d.uvarint()
 		switch {
 		case d.err != nil:
-		case j > 0 && s <= prev:
+		case j > 0 && s <= a.Strides[j-1].Delta:
 			d.fail("strides out of order or repeated")
 		case c == 0:
 			d.fail("stride %d has a zero count", s)
 		default:
-			a.Strides[s] = c
-			prev = s
+			a.Strides = append(a.Strides, Stride{Delta: s, Count: c})
 		}
 	}
 	ip.Addr = a

@@ -2,7 +2,9 @@ package sfg
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/program"
@@ -114,6 +116,66 @@ func TestSaveIsCanonical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFreezeShedsProfilingStorage: Freeze moves every slot list and
+// stride table to a backing array of exactly its length, drops the
+// full tables' filters and changes no byte of the profile. A second
+// Freeze writes nothing, as synth.Reduce needs on a shared graph: here
+// it runs on four goroutines that also read the graph, which the race
+// detector checks under -race.
+func TestFreezeShedsProfilingStorage(t *testing.T) {
+	g := testProfile(t, defaultOpts(1), 60_000)
+	want := encode(t, g)
+	slack, full := 0, 0
+	for _, e := range g.Edges {
+		if cap(e.Insts) > len(e.Insts) {
+			slack++
+		}
+		for i := range e.Insts {
+			if a := e.Insts[i].Addr; a != nil && a.full != nil {
+				full++
+			}
+		}
+	}
+	if slack == 0 || full == 0 {
+		t.Fatalf("profile has %d slot lists with spare capacity and %d full stride tables; the test needs both", slack, full)
+	}
+	g.Freeze()
+	// check reads every field Freeze may write.
+	check := func() error {
+		for _, e := range g.Edges {
+			if cap(e.Insts) != len(e.Insts) {
+				return fmt.Errorf("edge %d: %d slots in a backing array of %d", e.ID, len(e.Insts), cap(e.Insts))
+			}
+			for i := range e.Insts {
+				if a := e.Insts[i].Addr; a != nil && (cap(a.Strides) != len(a.Strides) || a.full != nil) {
+					return fmt.Errorf("edge %d slot %d: %d strides in a backing array of %d, filter kept: %v",
+						e.ID, i, len(a.Strides), cap(a.Strides), a.full != nil)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := g.Save(&buf); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			return fmt.Errorf("frozen graph saves different bytes (%v)", err)
+		}
+		return nil
+	}
+	if err := check(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.Freeze()
+			if err := check(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestLoadRejectsNonCanonical: every damaged or non-canonical form of a

@@ -1,7 +1,6 @@
 package sfg
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/stats"
@@ -228,9 +227,10 @@ func (ip *InstProfile) merge(sp *InstProfile) {
 }
 
 // Merge folds o into a. Stride admission at the MaxDistinctStrides
-// capacity boundary processes o's deltas in sorted order, keeping the
-// merged profile deterministic (map iteration order must not leak into
-// results).
+// capacity boundary takes o's deltas in increasing order: a delta a
+// holds adds its count, a new one is admitted while a has room and is
+// overflow after that. Both tables are sorted, so this is one merge
+// pass.
 func (a *AddrProfile) Merge(o *AddrProfile) {
 	if o == nil || o.Count == 0 {
 		return
@@ -248,23 +248,24 @@ func (a *AddrProfile) Merge(o *AddrProfile) {
 	a.Count += o.Count
 	a.Overflow += o.Overflow
 	if len(o.Strides) > 0 {
-		deltas := make([]int64, 0, len(o.Strides))
-		for d := range o.Strides {
-			deltas = append(deltas, d)
-		}
-		slices.Sort(deltas)
-		for _, d := range deltas {
-			c := o.Strides[d]
-			if _, ok := a.Strides[d]; ok || len(a.Strides) < MaxDistinctStrides {
-				if a.Strides == nil {
-					a.Strides = make(map[int64]uint64)
-				}
-				a.Strides[d] += c
-			} else {
-				a.Overflow += c
+		merged := make([]Stride, 0, min(len(a.Strides)+len(o.Strides), MaxDistinctStrides))
+		held, n := a.Strides, len(a.Strides)
+		for _, s := range o.Strides {
+			for len(held) > 0 && held[0].Delta < s.Delta {
+				merged, held = append(merged, held[0]), held[1:]
+			}
+			switch {
+			case len(held) > 0 && held[0].Delta == s.Delta:
+				merged, held = append(merged, Stride{Delta: s.Delta, Count: held[0].Count + s.Count}), held[1:]
+			case n < MaxDistinctStrides:
+				merged = append(merged, s)
+				n++
+			default:
+				a.Overflow += s.Count
 			}
 		}
+		a.Strides = append(merged, held...)
 	}
-	// prev/hasPrev stay zero: a merged profile is never fed further
+	// prev stays zero: a merged profile is never fed further
 	// observations.
 }

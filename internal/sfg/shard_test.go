@@ -190,9 +190,9 @@ func TestAddrProfileMergeDeterministicAtCapacity(t *testing.T) {
 	if a1.Count != a2.Count || a1.Overflow != a2.Overflow || len(a1.Strides) != len(a2.Strides) {
 		t.Fatal("merge not deterministic")
 	}
-	for d, c := range a1.Strides {
-		if a2.Strides[d] != c {
-			t.Fatalf("stride %d count differs across merges", d)
+	for i, s := range a1.Strides {
+		if a2.Strides[i] != s {
+			t.Fatalf("stride %d count differs across merges", s.Delta)
 		}
 	}
 	wantCount := build().Count + o.Count

@@ -22,50 +22,52 @@ const sparseMax = 32
 // storage format for dependency-distance distributions in the
 // statistical flow graph.
 //
-// A histogram starts sparse: pairs holds its non-empty (value, count)
-// pairs, in no fixed order while it is being built — a hit moves its
-// pair one place toward the front when its count passes its
-// neighbour's, so the common values are found first. Once its support
-// passes sparseMax it promotes to counts, a dense array indexed by
-// value, and pairs is dropped. Every read that walks the values visits
-// them in increasing order, whichever form holds them, so the answers,
-// the byte form and the draws depend on neither the form nor the
-// pairs' order.
+// A histogram has two lives. While it is being built it starts sparse:
+// vals holds its non-empty (count, value) pairs, in no fixed order — a
+// hit moves its pair one place toward the front when its count passes
+// its neighbour's, so the common values are found first. Once its
+// support passes sparseMax it promotes to counts, a dense array indexed
+// by value, and vals is dropped.
+//
+// Freeze (or the first Sample) turns it into its sampling table and
+// drops the rest: vals then holds (cumulative count, value) entries in
+// increasing value order, and guide a table giving O(1)-expected
+// lookups with the same inverse-CDF (u → value) mapping as a linear or
+// binary search over the counts (see AliasTable for the soundness
+// argument; the guide here is the same construction). A histogram with
+// a single value keeps just that value, in one, with no entries and no
+// guide. Every read serves a frozen histogram from its table — a value's
+// count is the difference of two cumulative counts — and writes
+// nothing, so frozen histograms can be read from many goroutines at
+// once. The next Add or Merge thaws it first, back to sorted pairs or
+// dense counts. Profiling mutates histograms heavily and never samples;
+// synthesis samples heavily and never mutates.
+//
+// Every read that walks the values visits them in increasing order,
+// whichever form holds them, so the answers, the byte form and the
+// draws depend neither on the form nor on the pairs' order.
 type Histogram struct {
 	Max    int
 	total  uint64
-	pairs  []histPair
+	vals   []histEntry
 	counts []uint64
-
-	// Sampling cache over the non-empty values, rebuilt lazily after
-	// mutation: interleaved (cumulative count, value) entries in
-	// increasing value order plus a guide table giving O(1)-expected
-	// lookups with the same inverse-CDF (u → value) mapping as a linear
-	// or binary search over the counts (see AliasTable for the
-	// soundness argument; the guide here is the same construction). The
-	// entries are interleaved rather than parallel slices so one sample
-	// touches one or two cache lines instead of four. Profiling mutates
-	// histograms heavily and never samples; synthesis samples heavily
-	// and never mutates — the cache serves the latter without taxing
-	// the former.
-	entries []histEntry
-	guide   []int32
-	gshift  uint
+	guide  []int32
+	one    int32 // the value of a frozen single-value histogram, else 0
+	gshift uint8
+	frozen bool
 }
 
-// histPair is one non-empty value of a sparse histogram and its count.
-type histPair struct {
+// histEntry is one non-empty value with a count: its own count in an
+// unfrozen histogram's pairs, the cumulative count up to and including
+// it in a frozen histogram's entries. The entries are one slice of
+// (count, value) structs rather than parallel slices so one sample
+// touches one or two cache lines instead of four.
+type histEntry struct {
 	n   uint64
 	val int32
 }
 
-func cmpPair(a, b histPair) int { return int(a.val) - int(b.val) }
-
-// histEntry pairs a cumulative count with its bucket value.
-type histEntry struct {
-	cum uint64
-	val int32
-}
+func cmpEntry(a, b histEntry) int { return int(a.val) - int(b.val) }
 
 // NewHistogram returns an empty histogram over [1, max].
 func NewHistogram(max int) *Histogram {
@@ -105,13 +107,15 @@ func (h *Histogram) AddN(v int, n uint64) {
 // add records n observations of v, a value in [1, Max]. (Add stays
 // small enough to inline; this is its one call.)
 func (h *Histogram) add(v int, n uint64) {
+	if h.frozen {
+		h.thaw()
+	}
 	h.total += n
-	h.invalidate()
 	if h.counts != nil {
 		h.counts[v] += n
 		return
 	}
-	ps := h.pairs
+	ps := h.vals
 	for i := range ps {
 		if int(ps[i].val) == v {
 			ps[i].n += n
@@ -122,7 +126,7 @@ func (h *Histogram) add(v int, n uint64) {
 		}
 	}
 	if len(ps) < sparseMax {
-		h.pairs = append(ps, histPair{n: n, val: int32(v)})
+		h.vals = append(ps, histEntry{n: n, val: int32(v)})
 		return
 	}
 	h.counts = make([]uint64, h.Max+1)
@@ -130,49 +134,75 @@ func (h *Histogram) add(v int, n uint64) {
 		h.counts[p.val] = p.n
 	}
 	h.counts[v] = n
-	h.pairs = nil
+	h.vals = nil
 }
 
-func (h *Histogram) invalidate() {
-	// Skip the pointer stores (and their write barriers) when there is
-	// no cache to drop — the overwhelmingly common case, since profiling
-	// mutates millions of times before anything ever samples.
-	if h.entries != nil {
-		h.entries, h.guide = nil, nil
+// thaw turns a frozen histogram back into the form profiling gives it:
+// sorted pairs, rewritten in place from the entries, or dense counts
+// past sparseMax values.
+func (h *Histogram) thaw() {
+	switch {
+	case h.one != 0:
+		h.vals = []histEntry{{n: h.total, val: h.one}}
+	case len(h.vals) > sparseMax:
+		counts := make([]uint64, h.Max+1)
+		h.each(func(v int, n uint64) bool {
+			counts[v] = n
+			return true
+		})
+		h.vals, h.counts = nil, counts
+	default:
+		for i := len(h.vals) - 1; i > 0; i-- {
+			h.vals[i].n -= h.vals[i-1].n
+		}
 	}
+	h.one, h.guide, h.gshift, h.frozen = 0, nil, 0, false
 }
 
 // each calls f on every non-empty value in increasing order with its
-// count, until f returns false. It writes nothing to h: unsorted sparse
-// pairs are sorted in a copy on the stack. buildCum sorts the pairs in
-// place before it sets entries, and every mutation clears entries, so
-// a frozen histogram's pairs are read directly.
+// count, until f returns false. It writes nothing to h: a frozen
+// histogram's counts are differences of its cumulative entries, and
+// unsorted sparse pairs are sorted in a copy on the stack.
 func (h *Histogram) each(f func(v int, n uint64) bool) {
-	if h.counts != nil {
+	switch {
+	case h.one != 0:
+		f(int(h.one), h.total)
+	case h.counts != nil:
 		for v, n := range h.counts {
 			if n != 0 && !f(v, n) {
 				return
 			}
 		}
-		return
-	}
-	ps := h.pairs
-	var buf [sparseMax]histPair
-	if h.entries == nil && !slices.IsSortedFunc(ps, cmpPair) {
-		ps = buf[:copy(buf[:], ps)]
-		slices.SortFunc(ps, cmpPair)
-	}
-	for _, p := range ps {
-		if !f(int(p.val), p.n) {
-			return
+	case h.frozen:
+		var prev uint64
+		for _, e := range h.vals {
+			if !f(int(e.val), e.n-prev) {
+				return
+			}
+			prev = e.n
+		}
+	default:
+		ps := h.vals
+		var buf [sparseMax]histEntry
+		if !slices.IsSortedFunc(ps, cmpEntry) {
+			ps = buf[:copy(buf[:], ps)]
+			slices.SortFunc(ps, cmpEntry)
+		}
+		for _, p := range ps {
+			if !f(int(p.val), p.n) {
+				return
+			}
 		}
 	}
 }
 
 // support returns the number of non-empty values.
 func (h *Histogram) support() int {
-	if h.counts == nil {
-		return len(h.pairs)
+	switch {
+	case h.one != 0:
+		return 1
+	case h.counts == nil:
+		return len(h.vals)
 	}
 	n := 0
 	for _, c := range h.counts {
@@ -197,12 +227,14 @@ func (h *Histogram) Count(v int) uint64 {
 	if h.counts != nil {
 		return h.counts[v]
 	}
-	for _, p := range h.pairs {
-		if int(p.val) == v {
-			return p.n
+	var c uint64
+	h.each(func(x int, n uint64) bool {
+		if x == v {
+			c = n
 		}
-	}
-	return 0
+		return x < v
+	})
+	return c
 }
 
 // Mean returns the mean observation, or 0 for an empty histogram.
@@ -221,43 +253,56 @@ func (h *Histogram) Mean() float64 {
 // Sample draws a value from the empirical distribution using u, a
 // uniform variate in [0,1). It panics on an empty histogram. The
 // (u → value) mapping is the inverse-CDF transform, preserved
-// bit-identically by the alias-table fast path (see AliasTable).
+// bit-identically by the alias-table fast path (see AliasTable); a
+// single-value histogram returns its value without reading u.
 func (h *Histogram) Sample(u float64) int {
 	if h.total == 0 {
 		panic("stats: sampling empty histogram")
 	}
-	if h.entries == nil {
+	if !h.frozen {
 		h.buildCum()
+	}
+	if h.one != 0 {
+		return int(h.one)
 	}
 	target := uint64(u * float64(h.total))
 	if target >= h.total {
 		target = h.total - 1
 	}
 	i := h.guide[target>>h.gshift]
-	for h.entries[i].cum <= target {
+	for h.vals[i].n <= target {
 		i++
 	}
-	return int(h.entries[i].val)
+	return int(h.vals[i].val)
 }
 
-// buildCum sorts the sparse pairs in place and builds the sampling
-// cache from them.
+// buildCum freezes a non-empty histogram: it builds the sampling table
+// from the pairs (sorted in place first) or the dense counts, then
+// drops them.
 func (h *Histogram) buildCum() {
 	if h.counts == nil {
-		slices.SortFunc(h.pairs, cmpPair)
+		slices.SortFunc(h.vals, cmpEntry)
 	}
 	n := h.support()
+	if n == 1 {
+		h.each(func(v int, _ uint64) bool {
+			h.one = int32(v)
+			return false
+		})
+		h.vals, h.counts, h.frozen = nil, nil, true
+		return
+	}
 	entries := make([]histEntry, 0, n)
 	var run uint64
 	h.each(func(v int, c uint64) bool {
 		run += c
-		entries = append(entries, histEntry{cum: run, val: int32(v)})
+		entries = append(entries, histEntry{n: run, val: int32(v)})
 		return true
 	})
 	// Guide construction mirrors NewAliasTable: bucket j holds the first
 	// entry whose cumulative count exceeds j<<gshift, with the bucket
 	// width widened until the guide is at most ~2x the entry count.
-	var shift uint
+	var shift uint8
 	for h.total>>shift > uint64(2*n) {
 		shift++
 	}
@@ -266,21 +311,22 @@ func (h *Histogram) buildCum() {
 	var gi int32
 	for j := 0; j < nb; j++ {
 		start := uint64(j) << shift
-		for entries[gi].cum <= start {
+		for entries[gi].n <= start {
 			gi++
 		}
 		guide[j] = gi
 	}
-	h.entries, h.guide, h.gshift = entries, guide, shift
+	h.vals, h.counts, h.guide, h.gshift, h.frozen = entries, nil, guide, shift, true
 }
 
-// Freeze eagerly builds the cumulative sampling cache. A frozen
-// histogram can be sampled from many goroutines at once: Sample's lazy
-// cache build is its only write, so once the cache exists every Sample
-// call is read-only. Any later Add/Merge un-freezes the histogram
-// (profiling and sampling phases never overlap in this framework).
+// Freeze turns the histogram into its sampling table (see Histogram). A
+// frozen histogram can be read and sampled from many goroutines at
+// once: Sample's lazy build is its only write, so once the table exists
+// every read is read-only. Freeze on an empty or frozen histogram does
+// nothing, and any later Add/Merge thaws the histogram (profiling and
+// sampling phases never overlap in this framework).
 func (h *Histogram) Freeze() {
-	if h.total != 0 && h.entries == nil {
+	if h.total != 0 && !h.frozen {
 		h.buildCum()
 	}
 }
@@ -288,11 +334,14 @@ func (h *Histogram) Freeze() {
 // ContainsFunc reports whether some value Sample can return — a value
 // with a non-zero count — satisfies f. It visits those values in
 // increasing order, stops at the first that does, and reads them from
-// the sampling cache in place: like Sample, it builds the cache if the
-// histogram is not frozen, and it never writes once it is.
+// the sampling table in place: like Sample, it freezes the histogram if
+// it is not frozen, and it never writes once it is.
 func (h *Histogram) ContainsFunc(f func(v int) bool) bool {
 	h.Freeze()
-	for _, e := range h.entries {
+	if h.one != 0 {
+		return f(int(h.one))
+	}
+	for _, e := range h.vals {
 		if f(int(e.val)) {
 			return true
 		}

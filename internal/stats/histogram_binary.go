@@ -80,7 +80,7 @@ func parseHistogram(b []byte, h *Histogram) (int, error) {
 		if np > sparseMax {
 			h.counts = make([]uint64, hmax+1)
 		} else if np > 0 {
-			h.pairs = make([]histPair, 0, np)
+			h.vals = make([]histEntry, 0, np)
 		}
 	}
 	var v, total uint64
@@ -112,7 +112,7 @@ func parseHistogram(b []byte, h *Histogram) (int, error) {
 		case h.counts != nil:
 			h.counts[v] = c
 		default:
-			h.pairs = append(h.pairs, histPair{n: c, val: int32(v)})
+			h.vals = append(h.vals, histEntry{n: c, val: int32(v)})
 		}
 	}
 	if h != nil {

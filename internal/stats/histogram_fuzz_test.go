@@ -99,6 +99,15 @@ func checkAgainstModel(t *testing.T, step int, h *Histogram, m denseModel) {
 	if h.Total() != m.total() {
 		t.Fatalf("step %d: Total %d, model %d", step, h.Total(), m.total())
 	}
+	// A frozen histogram is its sampling table and nothing else: its
+	// single value inline, or cumulative entries with a guide.
+	if h.frozen {
+		single := len(m.support()) == 1
+		if h.counts != nil || (h.one != 0) != single || (h.vals == nil) != single || (h.guide == nil) != single {
+			t.Fatalf("step %d: frozen histogram keeps more than its table (one %d, %d entries, %d counts, %d guide)",
+				step, h.one, len(h.vals), len(h.counts), len(h.guide))
+		}
+	}
 	for v := -1; v <= max+2; v++ {
 		want := uint64(0)
 		if v >= 1 {
@@ -171,7 +180,11 @@ func histOps(steps ...[2]int) []byte {
 // the same sequence of Add, AddN, Merge, Clone and Freeze steps and
 // compares every read after each one. Values run up to Max+8, so
 // clamping is crossed, and on the larger bounds a sequence can pass the
-// sparse histogram's promotion to a dense array.
+// sparse histogram's promotion to a dense array. Freezes of h and of
+// the merge source interleave with the mutations that thaw them, and
+// one step reads h frozen and then again after the Add that thaws it,
+// so every read is checked on both sides of a thaw — for single-value,
+// sparse and promoted histograms alike.
 func FuzzHistogram(f *testing.F) {
 	var wide [][2]int
 	for v := 1; v <= 2*sparseMax; v++ {
@@ -183,6 +196,12 @@ func FuzzHistogram(f *testing.F) {
 		[2]int{2, 0}, [2]int{4, 0}, [2]int{0, 1}, [2]int{5, 0}, [2]int{2, 0}))
 	f.Add(uint8(0), histOps([2]int{0, 1}, [2]int{0, 5}, [2]int{4, 0}, [2]int{1, 0x0203}))
 	f.Add(uint8(1), histOps([2]int{0, 2}, [2]int{0, 4}, [2]int{0, 2}, [2]int{0, 9}, [2]int{4, 0}, [2]int{0, 4}))
+	// A single value frozen, thawed by its own value and by another, and
+	// a frozen single-value source merged in.
+	f.Add(uint8(4), histOps([2]int{0, 5}, [2]int{0, 5}, [2]int{5, 0}, [2]int{0, 5}, [2]int{5, 0},
+		[2]int{7, 6}, [2]int{3, 9}, [2]int{6, 0}, [2]int{2, 0}, [2]int{5, 0}, [2]int{2, 0}))
+	// A promoted histogram frozen, then thawed back to dense counts.
+	f.Add(uint8(4), histOps(append(wide[:sparseMax+2:sparseMax+2], [2]int{5, 0}, [2]int{1, 0x0409}, [2]int{7, 3})...))
 	f.Fuzz(func(t *testing.T, maxSel uint8, ops []byte) {
 		max := fuzzMaxes[int(maxSel)%len(fuzzMaxes)]
 		h, aux := NewHistogram(max), NewHistogram(max)
@@ -192,7 +211,7 @@ func FuzzHistogram(f *testing.F) {
 			op, x := ops[0], int(ops[1])|int(ops[2])<<8
 			ops = ops[3:]
 			v := 1 + x%(max+8)
-			switch op % 6 {
+			switch op % 8 {
 			case 0:
 				h.Add(v)
 				m.add(v, 1)
@@ -217,6 +236,13 @@ func FuzzHistogram(f *testing.F) {
 				h = c
 			case 5:
 				h.Freeze()
+			case 6:
+				aux.Freeze()
+			case 7:
+				h.Freeze()
+				checkAgainstModel(t, step, h, m)
+				h.Add(v)
+				m.add(v, 1)
 			}
 			checkAgainstModel(t, step, h, m)
 		}

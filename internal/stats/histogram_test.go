@@ -1,10 +1,12 @@
 package stats
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHistogramAddAndCount(t *testing.T) {
@@ -233,28 +235,61 @@ func TestHistogramTotalInvariant(t *testing.T) {
 	}
 }
 
+// TestHistogramFreezeEnablesConcurrentSampling: every read of a frozen
+// histogram — a multi-value table, a single value, and one promoted
+// past sparseMax before it froze — writes nothing, so 8 goroutines may
+// run them at once; the race detector enforces the claim when this test
+// runs under -race.
 func TestHistogramFreezeEnablesConcurrentSampling(t *testing.T) {
-	h := NewHistogram(64)
+	multi, one, wide := NewHistogram(64), NewHistogram(64), NewHistogram(MaxDependencyDistance)
 	for v := 1; v <= 16; v++ {
-		h.AddN(v, uint64(v))
+		multi.AddN(v, uint64(v))
 	}
-	h.Freeze()
-	// After Freeze, Sample from many goroutines must be read-only; the
-	// race detector enforces the claim when this test runs under -race.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				u := float64((seed*500+j)%997) / 997
-				if v := h.Sample(u); v < 1 || v > 16 {
-					t.Errorf("sampled unobserved value %d", v)
+	one.AddN(9, 40)
+	for v := 1; v <= 3*sparseMax; v++ {
+		wide.AddN(v*5, uint64(v%7+1))
+	}
+	for _, h := range []*Histogram{multi, one, wide} {
+		h.Freeze()
+		want, _ := h.AppendBinary(nil)
+		mean, med := h.Mean(), h.Quantile(0.5)
+		count := h.Count(med)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(seed int) {
+				defer wg.Done()
+				for j := 0; j < 500; j++ {
+					u := float64((seed*500+j)%997) / 997
+					if v := h.Sample(u); h.Count(v) == 0 {
+						t.Errorf("sampled unobserved value %d", v)
+					}
 				}
-			}
-		}(i)
+				if h.Mean() != mean || h.Quantile(0.5) != med || h.Count(med) != count {
+					t.Error("Mean, Quantile or Count differ across goroutines")
+				}
+				if b, err := h.AppendBinary(nil); err != nil || !bytes.Equal(b, want) {
+					t.Errorf("AppendBinary differs across goroutines: %v", err)
+				}
+				if !h.ContainsFunc(func(v int) bool { return v == med }) {
+					t.Error("ContainsFunc misses the median")
+				}
+				if c := h.Clone(); c.Total() != h.Total() || c.Mean() != mean {
+					t.Error("Clone differs from its frozen original")
+				}
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	// Freeze on an empty histogram is a no-op, not a panic.
 	NewHistogram(8).Freeze()
+}
+
+// TestHistogramHeaderCompact pins the histogram header at 96 bytes: a
+// frozen 1M-instruction graph holds tens of thousands of histograms, and
+// 96 is an allocation size class where 120 bytes cost 128.
+func TestHistogramHeaderCompact(t *testing.T) {
+	if size := unsafe.Sizeof(Histogram{}); size > 96 {
+		t.Fatalf("Histogram header is %d bytes, want at most 96", size)
+	}
 }

@@ -80,6 +80,55 @@ func (r *RNG) Skip(n int) {
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
+// Jump is an advance of the generator by a fixed number of steps, made
+// in constant time. The xoshiro state transition is linear over GF(2),
+// so n steps are one 256×256 bit matrix; a Jump holds it as XOR tables
+// over the state's 64 nibbles (32 KiB), and applying it reads one table
+// row per nibble however large n is.
+type Jump struct {
+	t [64][16][4]uint64
+}
+
+// NewJump returns the advance by n steps: r.Jump(NewJump(n)) leaves r in
+// the state r.Skip(n) would. It builds the matrix's 256 columns with
+// Skip, so it costs 256 Skip(n) calls.
+func NewJump(n int) *Jump {
+	j := new(Jump)
+	for bit := 0; bit < 256; bit++ {
+		var col [4]uint64
+		col[bit/64] = 1 << (bit % 64)
+		r := RNG{col[0], col[1], col[2], col[3]}
+		r.Skip(n)
+		col = [4]uint64{r.s0, r.s1, r.s2, r.s3}
+		// Row v of a nibble's table is the XOR of the columns of v's set
+		// bits; the rows whose highest bit is this one extend rows built
+		// before it.
+		t, b := &j.t[bit/4], bit%4
+		for v := 1 << b; v < 2<<b; v++ {
+			for w := range col {
+				t[v][w] = t[v&^(1<<b)][w] ^ col[w]
+			}
+		}
+	}
+	return j
+}
+
+// Jump advances r by j's step count.
+func (r *RNG) Jump(j *Jump) {
+	var s0, s1, s2, s3 uint64
+	for w, x := range [4]uint64{r.s0, r.s1, r.s2, r.s3} {
+		for i := range 16 {
+			e := &j.t[16*w+i][x&15]
+			s0 ^= e[0]
+			s1 ^= e[1]
+			s2 ^= e[2]
+			s3 ^= e[3]
+			x >>= 4
+		}
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+}
+
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -135,3 +135,23 @@ func TestRNGSkip(t *testing.T) {
 		}
 	}
 }
+
+// TestJumpMatchesSkip pins Jump to Skip: for every step count and seed,
+// the state and the next draw after r.Jump(NewJump(n)) equal those after
+// r.Skip(n).
+func TestJumpMatchesSkip(t *testing.T) {
+	for _, n := range []int{0, 1, 999, 1000} {
+		j := NewJump(n)
+		for seed := uint64(0); seed < 1000; seed++ {
+			jumped, skipped := NewRNG(seed), NewRNG(seed)
+			jumped.Jump(j)
+			skipped.Skip(n)
+			if *jumped != *skipped {
+				t.Fatalf("seed %d: Jump(%d) state differs from Skip(%d)", seed, n, n)
+			}
+			if a, b := jumped.Uint64(), skipped.Uint64(); a != b {
+				t.Fatalf("seed %d: after Jump(%d) next draw %#x, want %#x", seed, n, a, b)
+			}
+		}
+	}
+}

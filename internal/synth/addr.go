@@ -1,10 +1,6 @@
 package synth
 
-import (
-	"sort"
-
-	"repro/internal/sfg"
-)
+import "repro/internal/sfg"
 
 // strideCDF is a sampling-ready form of one slot's AddrProfile.
 type strideCDF struct {
@@ -19,17 +15,14 @@ func buildStrideCDF(ap *sfg.AddrProfile) *strideCDF {
 	if c.random {
 		return c
 	}
-	c.deltas = make([]int64, 0, len(ap.Strides))
-	for d := range ap.Strides {
-		c.deltas = append(c.deltas, d)
-	}
-	// Sorted iteration keeps sampling deterministic across runs (map
-	// order would reshuffle the CDF).
-	sort.Slice(c.deltas, func(i, j int) bool { return c.deltas[i] < c.deltas[j] })
+	// The table is in increasing delta order, which keeps sampling
+	// deterministic.
+	c.deltas = make([]int64, len(ap.Strides))
+	c.cum = make([]uint64, len(ap.Strides))
 	var run uint64
-	for _, d := range c.deltas {
-		run += ap.Strides[d]
-		c.cum = append(c.cum, run)
+	for i, s := range ap.Strides {
+		run += s.Count
+		c.deltas[i], c.cum[i] = s.Delta, run
 	}
 	c.total = run
 	return c

@@ -150,7 +150,7 @@ func TestCacheSweepWithoutReprofiling(t *testing.T) {
 }
 
 func TestStrideCDFDeterministic(t *testing.T) {
-	ap := &sfg.AddrProfile{Strides: map[int64]uint64{8: 100, -16: 50, 64: 25}}
+	ap := &sfg.AddrProfile{Strides: []sfg.Stride{{Delta: -16, Count: 50}, {Delta: 8, Count: 100}, {Delta: 64, Count: 25}}}
 	a := buildStrideCDF(ap)
 	b := buildStrideCDF(ap)
 	rngA, rngB := stats.NewRNG(1), stats.NewRNG(1)
@@ -165,11 +165,11 @@ func TestAddrProfileObserve(t *testing.T) {
 	var ap sfg.AddrProfile
 	_ = ap // AddrProfile internals are exercised through the profiler;
 	// here check MostlyRandom on a constructed instance.
-	r := &sfg.AddrProfile{Strides: map[int64]uint64{8: 10}, Overflow: 100}
+	r := &sfg.AddrProfile{Strides: []sfg.Stride{{Delta: 8, Count: 10}}, Overflow: 100}
 	if !r.MostlyRandom() {
 		t.Error("heavy overflow should classify as random")
 	}
-	s := &sfg.AddrProfile{Strides: map[int64]uint64{8: 100}, Overflow: 2}
+	s := &sfg.AddrProfile{Strides: []sfg.Stride{{Delta: 8, Count: 100}}, Overflow: 2}
 	if s.MostlyRandom() {
 		t.Error("clean stride slot misclassified as random")
 	}

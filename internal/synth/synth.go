@@ -217,6 +217,10 @@ const destRing = 2048 // > MaxDependencyDistance, power of two
 // is squashed when every draw is rejected.
 const maxDepRetries = 1000
 
+// doomedDraws advances the RNG past the maxDepRetries-1 draws of a retry
+// loop that cannot succeed, in constant time (see sampleDep).
+var doomedDraws = stats.NewJump(maxDepRetries - 1)
+
 // NewTrace starts a fresh stochastic walk over the reduced graph.
 func (r *Reduced) NewTrace(seed uint64) *TraceSource {
 	t := &TraceSource{
@@ -486,8 +490,9 @@ func (t *TraceSource) emitBlock(e *sfg.Edge) {
 // Neither seq nor the hasDest window changes inside the retry loop, so
 // after the first rejection a scan of h's support decides whether any
 // draw can succeed. When none can, the remaining draws are doomed: the
-// RNG is advanced by exactly their count and the dependency squashed,
-// leaving the trace and the RNG state as the full loop would.
+// RNG is advanced by exactly their count, in one precomputed jump, and
+// the dependency squashed, leaving the trace and the RNG state as the
+// full loop would.
 func (t *TraceSource) sampleDep(h *stats.Histogram, count uint64) (uint32, bool) {
 	if h == nil || h.Total() == 0 {
 		return 0, false
@@ -499,7 +504,7 @@ func (t *TraceSource) sampleDep(h *stats.Histogram, count uint64) (uint32, bool)
 		return uint32(delta), true
 	}
 	if !t.anyProducer(h) {
-		t.rng.Skip(maxDepRetries - 1)
+		t.rng.Jump(doomedDraws)
 		return 0, false
 	}
 	for try := 1; try < maxDepRetries; try++ {
